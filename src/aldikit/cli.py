@@ -65,26 +65,36 @@ def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_estimator(args, sentence_count: int | None = None):
-    if args.estimator == "lexicon":
-        if not args.lexicon:
-            raise FormatError("--estimator lexicon requires --lexicon")
-        return est_mod.LexiconEstimator(est_mod.load_lexicon(args.lexicon))
-    if args.estimator == "cmi":
-        if not args.tags:
-            raise FormatError("--estimator cmi requires --tags")
-        sequences = est_mod.read_token_tag_file(args.tags)
+def _build_estimator(kind: str, source: str, batch_size: int | None = None):
+    """Estimator of one kind; ``source`` is its input file or scorer command."""
+    if kind == "lexicon":
+        return est_mod.LexiconEstimator(est_mod.load_lexicon(source))
+    if kind == "cmi":
+        sequences = est_mod.read_token_tag_file(source)
         return est_mod.CmiEstimator([[tag for _, tag in seq] for seq in sequences])
-    if args.estimator == "binary-di":
-        if not args.labels:
-            raise FormatError("--estimator binary-di requires --labels")
-        return est_mod.BinaryDiEstimator(est_mod.read_label_file(args.labels))
-    if not args.scorer_cmd:
-        raise FormatError("--estimator external requires --scorer-cmd")
+    if kind == "binary-di":
+        return est_mod.BinaryDiEstimator(est_mod.read_label_file(source))
     config = est_mod.ExternalScorerConfig(
-        command=tuple(shlex.split(args.scorer_cmd)), batch_size=args.batch_size
+        command=tuple(shlex.split(source)), batch_size=batch_size
     )
     return est_mod.ExternalEstimator(config)
+
+
+# --estimator kind -> the flag naming its input
+_ESTIMATOR_SOURCE_FLAG = {
+    "lexicon": "--lexicon",
+    "cmi": "--tags",
+    "binary-di": "--labels",
+    "external": "--scorer-cmd",
+}
+
+
+def _make_estimator(args):
+    flag = _ESTIMATOR_SOURCE_FLAG[args.estimator]
+    source = getattr(args, flag[2:].replace("-", "_"))
+    if not source:
+        raise FormatError("--estimator %s requires %s" % (args.estimator, flag))
+    return _build_estimator(args.estimator, source, args.batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +130,6 @@ def _cmd_build_dataset(args) -> int:
         seed=args.seed,
         assignment_path=args.splits,
         key_mode=args.key,
-        jobs=args.jobs,
         command=sys.argv[1:],
     )
     if args.json:
@@ -276,27 +285,17 @@ def _cmd_dprime(args) -> int:
 
 def _cmd_contrastive(args) -> int:
     pairs = eval_mod.read_pairs_file(args.pairs_file)
-    estimators = []
-    if args.lexicon:
-        estimators.append(est_mod.LexiconEstimator(est_mod.load_lexicon(args.lexicon)))
-    if args.di_labels:
-        estimators.append(
-            est_mod.BinaryDiEstimator(est_mod.read_label_file(args.di_labels))
-        )
-    if args.tags:
-        sequences = est_mod.read_token_tag_file(args.tags)
-        estimators.append(
-            est_mod.CmiEstimator([[tag for _, tag in seq] for seq in sequences])
-        )
-    if args.scorer_cmd:
-        estimators.append(
-            est_mod.ExternalEstimator(
-                est_mod.ExternalScorerConfig(
-                    command=tuple(shlex.split(args.scorer_cmd)),
-                    batch_size=args.batch_size,
-                )
-            )
-        )
+    sources = (
+        ("lexicon", args.lexicon),
+        ("binary-di", args.di_labels),
+        ("cmi", args.tags),
+        ("external", args.scorer_cmd),
+    )
+    estimators = [
+        _build_estimator(kind, source, args.batch_size)
+        for kind, source in sources
+        if source
+    ]
     if not estimators:
         raise FormatError(
             "contrastive needs at least one of --lexicon/--di-labels/--tags/--scorer-cmd"
@@ -398,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--splits", help="article-to-split assignment file to replay")
     p.add_argument("--key", choices=("normalized", "raw"), default="normalized")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_build_dataset)

@@ -12,18 +12,16 @@ Pipeline stages, in order:
    count, per source, seeded shuffle) or replay a released assignment file.
 
 Scores are exact rationals internally and serialize at 6 decimal places
-(round half even). All output files are sorted so byte output is
-independent of worker count.
+(round half even). Output files list groups sorted by source, article and
+canonical text; a group's annotations keep their input order.
 """
 
 from __future__ import annotations
 
 import random
 import re
-import zlib
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import textnorm
 from .errors import AldiError, FormatError
-from .ingest import AnnotationRow, LEVELS, ORDINAL_LEVELS
+from .ingest import AnnotationRow, LEVELS
 
 LEVEL_VALUES = {
     "MSA": Fraction(0),
@@ -93,17 +91,6 @@ class CommentGroup:
         return [a.level for a in self.annotations if a.level in LEVEL_VALUES]
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    seed: int
-    ratios: tuple[float, float, float] = (0.80, 0.10, 0.10)
-    per_source: bool = True
-
-    def __post_init__(self):
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise FormatError("split ratios must sum to 1")
-
-
 def format_score(score: Fraction | float, places: int = 6) -> str:
     """Fixed-point decimal rendering, round half even."""
     if isinstance(score, Fraction):
@@ -117,90 +104,51 @@ def format_score(score: Fraction | float, places: int = 6) -> str:
 # Step: grouping
 
 
-def _group_chunk(
-    rows: Sequence[tuple[int, AnnotationRow]], key_mode: str
-) -> dict[tuple[str, str, str], CommentGroup]:
+def _group_key(row: AnnotationRow, key_mode: str) -> tuple[str, str, str]:
+    text_key = (
+        row.sentence_text if key_mode == "raw" else textnorm.normalize(row.sentence_text)
+    )
+    return (row.source, row.article_id, text_key)
+
+
+def group_comments(
+    rows: Iterable[AnnotationRow], key_mode: str = "normalized"
+) -> list[CommentGroup]:
+    """Group annotations by (source, article_id, text key) in one pass.
+
+    Returned groups are ordered by first appearance. A group's
+    ``canonical_text`` is the normalized text of its first row under either
+    key mode, and its kind is "comment" once any of its rows is a comment.
+    """
+    if key_mode not in ("normalized", "raw"):
+        raise FormatError("unknown grouping key mode %r" % key_mode)
     groups: dict[tuple[str, str, str], CommentGroup] = {}
-    for ordinal, row in rows:
-        text_key = (
-            row.sentence_text
-            if key_mode == "raw"
-            else textnorm.normalize(row.sentence_text)
-        )
-        key = (row.source, row.article_id, text_key)
+    for row in rows:
+        key = _group_key(row, key_mode)
         group = groups.get(key)
         if group is None:
-            group = CommentGroup(
+            group = groups[key] = CommentGroup(
                 source=row.source,
                 article_id=row.article_id,
-                canonical_text=textnorm.normalize(row.sentence_text),
+                canonical_text=(
+                    key[2]
+                    if key_mode == "normalized"
+                    else textnorm.normalize(row.sentence_text)
+                ),
                 raw_text=row.sentence_text,
                 kind=row.kind,
                 annotations=[],
             )
-            groups[key] = group
         elif row.kind == "comment" and group.kind == "control":
             group.kind = "comment"
         group.annotations.append(
             GroupAnnotation(row.level, row.dialect, row.annotator.worker_id)
         )
-    return groups
-
-
-def group_comments(
-    rows: Iterable[AnnotationRow], key_mode: str = "normalized", jobs: int = 1
-) -> list[CommentGroup]:
-    """Group annotations by (source, article_id, text key).
-
-    With jobs > 1 the rows are partitioned by a stable hash of the key, so
-    every partition owns complete groups and the merged result is identical
-    to the sequential one. Returned groups are ordered by first appearance.
-    """
-    if key_mode not in ("normalized", "raw"):
-        raise FormatError("unknown grouping key mode %r" % key_mode)
-    indexed = list(enumerate(rows))
-    if jobs <= 1:
-        merged = _group_chunk(indexed, key_mode)
-    else:
-        buckets: list[list[tuple[int, AnnotationRow]]] = [[] for _ in range(jobs)]
-        for ordinal, row in indexed:
-            text_key = (
-                row.sentence_text
-                if key_mode == "raw"
-                else textnorm.normalize(row.sentence_text)
-            )
-            digest = zlib.crc32(
-                "\t".join((row.source, row.article_id, text_key)).encode("utf-8")
-            )
-            buckets[digest % jobs].append((ordinal, row))
-        merged = {}
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(lambda b: _group_chunk(b, key_mode), buckets):
-                merged.update(part)
-    # first-appearance order, independent of partitioning
-    order: dict[tuple[str, str, str], int] = {}
-    for ordinal, row in indexed:
-        text_key = (
-            row.sentence_text
-            if key_mode == "raw"
-            else textnorm.normalize(row.sentence_text)
-        )
-        key = (row.source, row.article_id, text_key)
-        if key not in order:
-            order[key] = ordinal
-    return [merged[key] for key in sorted(merged, key=order.__getitem__)]
+    return list(groups.values())
 
 
 def count_distinct_keys(rows: Iterable[AnnotationRow], key_mode: str) -> int:
-    seen = set()
-    for row in rows:
-        text_key = (
-            row.sentence_text
-            if key_mode == "raw"
-            else textnorm.normalize(row.sentence_text)
-        )
-        seen.add((row.source, row.article_id, text_key))
-    return len(seen)
+    return len({_group_key(row, key_mode) for row in rows})
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +255,7 @@ def load_assignment(path: str | Path) -> dict[tuple[str, str] | str, str]:
 
 def make_splits(
     groups: Sequence[CommentGroup],
-    plan: SplitPlan,
+    seed: int,
     assignment: dict | None = None,
 ) -> None:
     """Assign a split to every group, keeping articles split-exclusive.
@@ -339,7 +287,7 @@ def make_splits(
                 "source %s has only %d article(s); need at least 3 to split"
                 % (source, len(articles))
             )
-        rng = random.Random("%d:%s" % (plan.seed, source))
+        rng = random.Random("%d:%s" % (seed, source))
         rng.shuffle(articles)
         total = len(source_groups)
         split_of: dict[str, str] = {}

@@ -6,7 +6,7 @@ fields. Column positions vary between release variants, so the parser is
 driven by an explicit column map (JSON) instead of hard-coded offsets; a
 default map for the known public release ships in ``aldikit/data``.
 
-The output of :func:`explode` is the flat annotation-row table every other
+The rows of every parsed HIT form the flat annotation-row table every other
 module consumes: one row per (sentence, annotator) pair.
 """
 
@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, TextIO
 from .errors import FormatError
 
 LEVELS = ("MSA", "Little", "Mixed", "Most", "NotArabic", "Missing")
-ORDINAL_LEVELS = ("MSA", "Little", "Mixed", "Most")
 DIALECTS = ("EGY", "LEV", "GLF", "MAG", "IRQ", "GEN", "Unfamiliar", "Other")
 SOURCES = ("AlGhad", "AlRiyadh", "Youm7")
 KINDS = ("comment", "control")
@@ -359,11 +358,6 @@ def parse_hit_file(
                     raise
                 if error_log is not None:
                     error_log.append(str(exc))
-
-
-def explode(hit: HitRow) -> list[AnnotationRow]:
-    """The 12 annotation rows of a HIT, annotator info shared, order kept."""
-    return list(hit.sentences)
 
 
 def _sanitize_text(text: str) -> str:

@@ -8,7 +8,6 @@ dict suitable for --json printing.
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -41,7 +40,7 @@ def run_ingest(
             hit_path, cmap, strict=strict, error_log=error_log
         ):
             hit_count += 1
-            for row in ingest_mod.explode(hit):
+            for row in hit.sentences:
                 fh.write(ingest_mod.format_row(row) + "\n")
                 row_count += 1
                 per_source[row.source] = per_source.get(row.source, 0) + 1
@@ -68,7 +67,6 @@ def run_build_dataset(
     seed: int,
     assignment_path: str | Path | None = None,
     key_mode: str = "normalized",
-    jobs: int = 1,
     command: Sequence[str] | None = None,
 ) -> dict:
     out_dir = Path(out_dir)
@@ -77,7 +75,7 @@ def run_build_dataset(
     if not rows:
         raise FormatError("%s contains no annotation rows" % rows_path)
 
-    groups = dataset_mod.group_comments(rows, key_mode=key_mode, jobs=jobs)
+    groups = dataset_mod.group_comments(rows, key_mode=key_mode)
     other_key = "raw" if key_mode == "normalized" else "normalized"
     other_key_count = dataset_mod.count_distinct_keys(rows, other_key)
     distinct_keys = {key_mode: len(groups), other_key: other_key_count}
@@ -90,8 +88,7 @@ def run_build_dataset(
     assignment = (
         dataset_mod.load_assignment(assignment_path) if assignment_path else None
     )
-    plan = dataset_mod.SplitPlan(seed=seed)
-    dataset_mod.make_splits(kept, plan, assignment)
+    dataset_mod.make_splits(kept, seed, assignment)
 
     stats = dataset_mod.corpus_stats(kept, discarded, categories)
     stats["distinct_keys"] = distinct_keys
@@ -114,7 +111,7 @@ def run_build_dataset(
         list(command or []),
         inputs,
         seed=seed,
-        extra={"jobs_requested": jobs, "key_mode": key_mode},
+        extra={"key_mode": key_mode},
     )
     return {
         "groups": stats["groups"],
@@ -130,9 +127,9 @@ def _write_lines(path: Path, lines) -> None:
             fh.write(line + "\n")
 
 
-def run_agreement(rows_path: str | Path, key_mode: str = "normalized") -> dict:
+def run_agreement(rows_path: str | Path) -> dict:
     rows = list(ingest_mod.read_rows(rows_path))
-    groups = dataset_mod.group_comments(rows, key_mode=key_mode)
+    groups = dataset_mod.group_comments(rows)
     labels, values = agreement_mod.level_agreement_items(groups)
     if not labels:
         raise FormatError("no groups with exactly 3 usable annotations")
@@ -148,17 +145,23 @@ def run_agreement(rows_path: str | Path, key_mode: str = "normalized") -> dict:
 
 
 def read_score_file(path: str | Path) -> dict[int, float]:
-    """Predictions: 'id TAB score' per line (bare scores get line-number ids)."""
+    """Predictions: 'id TAB score' per line.
+
+    A bare score takes its data-line ordinal as id; blank and '#' lines are
+    not counted, so ids line up with the dataset ordinals.
+    """
     scores: dict[int, float] = {}
+    ordinal = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
+            ordinal += 1
             parts = line.split("\t")
             try:
                 if len(parts) == 1:
-                    scores[lineno] = float(parts[0])
+                    scores[ordinal] = float(parts[0])
                 else:
                     scores[int(parts[0])] = float(parts[-1])
             except ValueError:

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from aldikit import cli, ingest
-from aldikit.pipeline import run_build_dataset, run_ingest
+from aldikit.evaluation import read_pairs_file
+from aldikit.pipeline import read_score_file, run_build_dataset, run_ingest
 
 from conftest import make_hit_line, make_row, write_rows_file
 
@@ -197,6 +198,12 @@ def test_dprime_command(tmp_path, capsys):
     assert abs(float(out) - 5.657) < 1e-3
 
 
+def test_score_file_ids_count_data_lines(tmp_path):
+    path = tmp_path / "scores.txt"
+    path.write_text("# header\n0.1\n\n0.2\n0.3\n", encoding="utf-8")
+    assert read_score_file(path) == {1: 0.1, 2: 0.2, 3: 0.3}
+
+
 def test_contrastive_command(tmp_path, capsys):
     matrix = tmp_path / "matrix.tsv"
     code = run(
@@ -214,6 +221,47 @@ def test_contrastive_command(tmp_path, capsys):
     f3 = [ln for ln in lines if ln.startswith("F3\tVO")][0].split("\t")
     assert f3[2] == "0.000000"
     assert f3[3] == "0.500000"
+
+
+def test_contrastive_all_estimators(tmp_path, capsys):
+    pairs = read_pairs_file(DATA_DIR / "contrastive_pairs_egy.tsv")
+    labels = tmp_path / "di.txt"
+    labels.write_text("".join(p.variant + "\n" for p in pairs), encoding="utf-8")
+    tags = tmp_path / "tags.tsv"
+    tags.write_text(
+        "\n".join(
+            "".join("%s\t%s\n" % (tok, p.variant) for tok in p.text.split())
+            for p in pairs
+        ),
+        encoding="utf-8",
+    )
+    # every sentence of a batch scores 1/batch length, so the batch size shows
+    scorer = (
+        '%s -c "import sys; lines = sys.stdin.readlines(); '
+        '[print(1 / len(lines)) for _ in lines]"' % sys.executable
+    )
+    matrix = tmp_path / "matrix.tsv"
+    code = run(
+        [
+            "contrastive", DATA_DIR / "contrastive_pairs_egy.tsv",
+            "--lexicon", DATA_DIR / "contrastive_lexicon.txt",
+            "--di-labels", labels, "--tags", tags,
+            "--scorer-cmd", scorer, "--batch-size", "8",
+            "-o", matrix,
+        ]
+    )
+    assert code == 0
+    lines = matrix.read_text(encoding="utf-8").splitlines()
+    assert lines[0].split("\t") == [
+        "feature_id", "word_order",
+        "binary-di:MSA", "binary-di:EGY", "cmi:MSA", "cmi:EGY",
+        "external:MSA", "external:EGY", "lexicon:MSA", "lexicon:EGY", "flags",
+    ]
+    f3 = [ln for ln in lines if ln.startswith("F3\tVO")][0].split("\t")
+    assert f3[2:] == [
+        "0.000000", "1.000000", "0.000000", "1.000000",
+        "0.125000", "0.125000", "0.000000", "0.500000", "external",
+    ]
 
 
 def test_contrastive_requires_estimator(tmp_path, capsys):

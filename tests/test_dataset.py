@@ -7,9 +7,9 @@ from aldikit import dataset
 from aldikit.dataset import (
     CommentGroup,
     GroupAnnotation,
-    SplitPlan,
     aggregate,
     categorize_discard,
+    count_distinct_keys,
     discard_junk,
     format_score,
     group_comments,
@@ -56,25 +56,16 @@ def test_normalized_key_merges_diacritic_variants():
     rows = [make_row(text="كتب"), make_row(text="كتَب")]
     assert len(group_comments(rows, key_mode="normalized")) == 1
     assert len(group_comments(rows, key_mode="raw")) == 2
-
-
-def test_grouping_jobs_equivalence():
-    rng = random.Random(7)
-    rows = [
-        make_row(
-            source=rng.choice(["AlGhad", "Youm7"]),
-            article_id="a%d" % rng.randrange(5),
-            text="نص %d" % rng.randrange(20),
-            level=rng.choice(["MSA", "Most"]),
-            worker="w%d" % rng.randrange(9),
-        )
-        for _ in range(200)
-    ]
-    one = group_comments(rows, jobs=1)
-    eight = group_comments(rows, jobs=8)
-    key = lambda g: (g.source, g.article_id, g.canonical_text)
-    assert [key(g) for g in one] == [key(g) for g in eight]
-    assert [g.annotations for g in one] == [g.annotations for g in eight]
+    # a later text that sorts first: groups still come in first-appearance order
+    rows.append(make_row(text="ارض", worker="w2"))
+    normalized = group_comments(rows, key_mode="normalized")
+    assert [g.raw_text for g in normalized] == ["كتب", "ارض"]
+    assert [len(g.annotations) for g in normalized] == [2, 1]
+    raw = group_comments(rows, key_mode="raw")
+    assert [g.raw_text for g in raw] == ["كتب", "كتَب", "ارض"]
+    assert [g.canonical_text for g in raw] == ["كتب", "كتب", "ارض"]
+    assert count_distinct_keys(rows, "normalized") == 2
+    assert count_distinct_keys(rows, "raw") == 3
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +207,7 @@ def make_split_groups(num_articles=10, per_article=10, source="AlGhad"):
 
 def test_split_sizes_exact_on_divisible_input():
     groups = make_split_groups()
-    make_splits(groups, SplitPlan(seed=42))
+    make_splits(groups, 42)
     counts = {"train": 0, "dev": 0, "test": 0}
     for g in groups:
         counts[g.split] += 1
@@ -226,8 +217,8 @@ def test_split_sizes_exact_on_divisible_input():
 def test_split_deterministic_for_seed():
     first = make_split_groups()
     second = make_split_groups()
-    make_splits(first, SplitPlan(seed=7))
-    make_splits(second, SplitPlan(seed=7))
+    make_splits(first, 7)
+    make_splits(second, 7)
     assert [g.split for g in first] == [g.split for g in second]
 
 
@@ -251,7 +242,7 @@ def test_split_articles_exclusive_random_inputs():
             if len({g.article_id for g in groups if g.source == s}) < 3:
                 break
         else:
-            make_splits(groups, SplitPlan(seed=trial))
+            make_splits(groups, trial)
             assert all(g.split in ("train", "dev", "test") for g in groups)
             seen = {}
             for g in groups:
@@ -264,7 +255,7 @@ def test_split_requires_three_articles():
     for g in groups:
         g.aldi = aggregate(g)
     with pytest.raises(FormatError, match="at least 3"):
-        make_splits(groups, SplitPlan(seed=1))
+        make_splits(groups, 1)
 
 
 def test_split_assignment_file_wins(tmp_path):
@@ -276,7 +267,7 @@ def test_split_assignment_file_wins(tmp_path):
         lines.append("AlGhad\t%s\t%s" % (article, split))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assignment = dataset.load_assignment(path)
-    make_splits(groups, SplitPlan(seed=3), assignment)
+    make_splits(groups, 3, assignment)
     for g in groups:
         assert g.split == wanted[g.article_id]
 
@@ -286,7 +277,7 @@ def test_split_assignment_missing_article_errors(tmp_path):
     path = tmp_path / "assign.tsv"
     path.write_text("AlGhad\tart00\ttrain\n", encoding="utf-8")
     with pytest.raises(FormatError, match="art01"):
-        make_splits(groups, SplitPlan(seed=3), dataset.load_assignment(path))
+        make_splits(groups, 3, dataset.load_assignment(path))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ def test_parse_two_hits(hit_file, default_cmap):
 
 def test_explode_copies_annotator(hit_file, default_cmap):
     hit = next(ingest.parse_hit_file(hit_file, default_cmap))
-    rows = ingest.explode(hit)
+    rows = hit.sentences
     assert len(rows) == 12
     assert all(r.annotator == hit.annotator for r in rows)
     # sentence order preserved, field copy intact
@@ -85,7 +85,7 @@ def test_msa_rows_drop_dialect(tmp_path, default_cmap):
 def test_rows_roundtrip_is_byte_stable(tmp_path, hit_file, default_cmap):
     rows = []
     for hit in ingest.parse_hit_file(hit_file, default_cmap):
-        rows.extend(ingest.explode(hit))
+        rows.extend(hit.sentences)
     first = io.StringIO()
     ingest.write_rows(rows, first)
     path = tmp_path / "rows.tsv"
