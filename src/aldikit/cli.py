@@ -74,10 +74,7 @@ def _build_estimator(kind: str, source: str, batch_size: int | None = None):
         return est_mod.CmiEstimator([[tag for _, tag in seq] for seq in sequences])
     if kind == "binary-di":
         return est_mod.BinaryDiEstimator(est_mod.read_label_file(source))
-    config = est_mod.ExternalScorerConfig(
-        command=tuple(shlex.split(source)), batch_size=batch_size
-    )
-    return est_mod.ExternalEstimator(config)
+    return est_mod.ExternalEstimator(tuple(shlex.split(source)), batch_size)
 
 
 # --estimator kind -> the flag naming its input
@@ -94,6 +91,8 @@ def _make_estimator(args):
     source = getattr(args, flag[2:].replace("-", "_"))
     if not source:
         raise FormatError("--estimator %s requires %s" % (args.estimator, flag))
+    if args.batch_size is not None and args.estimator != "external":
+        raise FormatError("--batch-size applies only to --estimator external")
     return _build_estimator(args.estimator, source, args.batch_size)
 
 
@@ -291,6 +290,8 @@ def _cmd_contrastive(args) -> int:
         ("cmi", args.tags),
         ("external", args.scorer_cmd),
     )
+    if args.batch_size is not None and not args.scorer_cmd:
+        raise FormatError("--batch-size applies only with --scorer-cmd")
     estimators = [
         _build_estimator(kind, source, args.batch_size)
         for kind, source in sources

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from . import textnorm
 from .errors import AldiError, FormatError
@@ -69,12 +69,6 @@ DISCARDED_HEADER = ("source", "article_id", "kind", "category", "levels", "text"
 ALDI_BINS = ("[0.00,0.25)", "[0.25,0.50)", "[0.50,0.75)", "[0.75,1.00]")
 
 
-class GroupAnnotation(NamedTuple):
-    level: str
-    dialect: str | None
-    worker_id: str
-
-
 @dataclass
 class CommentGroup:
     source: str
@@ -82,7 +76,7 @@ class CommentGroup:
     canonical_text: str
     raw_text: str
     kind: str
-    annotations: list[GroupAnnotation]
+    annotations: list[AnnotationRow]
     aldi: Fraction | None = None
     split: str | None = None
 
@@ -141,9 +135,7 @@ def group_comments(
             )
         elif row.kind == "comment" and group.kind == "control":
             group.kind = "comment"
-        group.annotations.append(
-            GroupAnnotation(row.level, row.dialect, row.annotator.worker_id)
-        )
+        group.annotations.append(row)
     return list(groups.values())
 
 

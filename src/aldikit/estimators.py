@@ -71,7 +71,6 @@ def build_lexicon(
     corpus: Iterable[str],
     min_occurrences: int = 2,
     source_name: str = "",
-    cfg: textnorm.NormalizationConfig = textnorm.DEFAULT_CONFIG,
 ) -> tuple[Lexicon, Counter]:
     """Count normalized tokens over corpus lines; keep those with
     frequency >= min_occurrences. Returns (lexicon, full counts)."""
@@ -79,7 +78,7 @@ def build_lexicon(
         raise FormatError("min_occurrences must be >= 1")
     counts: Counter = Counter()
     for line in corpus:
-        counts.update(textnorm.tokenize(textnorm.normalize(line, cfg)))
+        counts.update(textnorm.tokenize(textnorm.normalize(line)))
     kept = frozenset(t for t, c in counts.items() if c >= min_occurrences)
     if not counts:
         warnings.warn("empty corpus produced an empty lexicon", stacklevel=2)
@@ -120,13 +119,9 @@ def load_lexicon(path: str | Path) -> Lexicon:
     return Lexicon(frozenset(tokens), min_count, source_name=str(path))
 
 
-def lexicon_score(
-    sentence: str,
-    lexicon: Lexicon,
-    cfg: textnorm.NormalizationConfig = textnorm.DEFAULT_CONFIG,
-) -> float:
+def lexicon_score(sentence: str, lexicon: Lexicon) -> float:
     """Fraction of the sentence's tokens not found in the lexicon."""
-    tokens = textnorm.tokenize(textnorm.normalize(sentence, cfg))
+    tokens = textnorm.tokenize(textnorm.normalize(sentence))
     if not tokens:
         raise FormatError("cannot score an empty sentence")
     oov = sum(1 for t in tokens if t not in lexicon)
@@ -192,42 +187,38 @@ def read_label_file(path: str | Path) -> list[str]:
         return [line.rstrip("\n").strip() for line in fh if line.strip()]
 
 
-@dataclass(frozen=True)
-class ExternalScorerConfig:
-    """How to reach an external scorer process."""
-
-    command: tuple[str, ...]
-    batch_size: int | None = None
-
-
 def _clip(value: float) -> float:
     return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
 
 
 def external_score(
-    sentences: Sequence[str], scorer: ExternalScorerConfig
+    sentences: Sequence[str],
+    command: Sequence[str],
+    batch_size: int | None = None,
 ) -> list[float]:
     """Score sentences through the external newline protocol.
 
-    Sends normalized sentences, one per line, on the scorer's stdin; expects
-    exactly one decimal per line back, in order. Scores are clipped to
-    [0, 1]. Batch size bounds how many sentences one process invocation
-    carries.
+    Runs ``command`` with normalized sentences, one per line, on its stdin;
+    expects exactly one decimal per line back, in order. Scores are clipped
+    to [0, 1]. ``batch_size`` bounds how many sentences one process
+    invocation carries (default: all of them).
     """
+    if batch_size is not None and batch_size < 1:
+        raise FormatError("batch size must be at least 1, got %d" % batch_size)
     scores: list[float] = []
-    batch = scorer.batch_size or len(sentences) or 1
+    batch = batch_size or len(sentences) or 1
     for start in range(0, len(sentences), batch):
         chunk = sentences[start : start + batch]
         payload = "".join(textnorm.normalize(s) + "\n" for s in chunk)
         try:
             proc = subprocess.run(
-                list(scorer.command),
+                list(command),
                 input=payload.encode("utf-8"),
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
             )
         except OSError as exc:
-            raise ProtocolError("cannot run scorer %s: %s" % (scorer.command, exc))
+            raise ProtocolError("cannot run scorer %s: %s" % (command, exc))
         if proc.returncode != 0:
             raise ProtocolError(
                 "scorer exited with status %d: %s"
@@ -302,8 +293,9 @@ class CmiEstimator:
 class ExternalEstimator:
     estimator_id = "external"
 
-    def __init__(self, config: ExternalScorerConfig):
-        self.config = config
+    def __init__(self, command: Sequence[str], batch_size: int | None = None):
+        self.command = command
+        self.batch_size = batch_size
 
     def score_many(self, sentences: Sequence[str]) -> list[float]:
-        return external_score(sentences, self.config)
+        return external_score(sentences, self.command, self.batch_size)

@@ -6,16 +6,16 @@ fields. Column positions vary between release variants, so the parser is
 driven by an explicit column map (JSON) instead of hard-coded offsets; a
 default map for the known public release ships in ``aldikit/data``.
 
-The rows of every parsed HIT form the flat annotation-row table every other
-module consumes: one row per (sentence, annotator) pair.
+Each parsed line yields its 12 :class:`AnnotationRow` records, one per
+(sentence, annotator) pair, each carrying the worker's fields. These flat
+rows are the table every other module consumes, in files and in memory.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import FormatError
 
@@ -81,44 +81,23 @@ KIND_ALIASES = {
     "cntrl": "control",
 }
 
-ROWS_HEADER = (
-    "source",
-    "article_id",
-    "kind",
-    "level",
-    "dialect",
-    "worker_id",
-    "residence",
-    "native_speaker",
-    "best_dialect",
-    "sentence_text",
-)
 
+class AnnotationRow(NamedTuple):
+    """One annotation; the fields are the annotation-row file's columns, in order."""
 
-@dataclass(frozen=True)
-class AnnotatorInfo:
-    worker_id: str
-    residence: str | None = None
-    native_speaker: bool | None = None
-    best_understood_dialect: str | None = None
-
-
-@dataclass(frozen=True)
-class AnnotationRow:
     source: str
     article_id: str
-    sentence_text: str
     kind: str
     level: str
     dialect: str | None
-    annotator: AnnotatorInfo
+    worker_id: str
+    residence: str | None
+    native_speaker: bool | None
+    best_dialect: str | None
+    sentence_text: str
 
 
-@dataclass(frozen=True)
-class HitRow:
-    hit_id: str
-    annotator: AnnotatorInfo
-    sentences: tuple[AnnotationRow, ...]
+ROWS_HEADER = AnnotationRow._fields
 
 
 class ColumnMapConfig:
@@ -128,7 +107,6 @@ class ColumnMapConfig:
     ``{"value": "..."}`` for a constant)::
 
         {
-          "hit_id": 0,                 # optional; line number when omitted
           "worker_id": 1,
           "residence": 2,              # optional annotator fields
           "native_speaker": 3,
@@ -273,23 +251,16 @@ def _parse_native(token: str) -> bool | None:
 
 def _parse_hit_line(
     cells: list[str], cmap: ColumnMapConfig, lineno: int
-) -> HitRow:
+) -> tuple[AnnotationRow, ...]:
     raw = cmap.raw
     worker_id = _cell(raw.get("worker_id"), cells, lineno, "worker_id")
     if not worker_id:
         raise FormatError("line %d: empty worker_id" % lineno)
-    annotator = AnnotatorInfo(
-        worker_id=worker_id,
-        residence=_cell(raw.get("residence"), cells, lineno, "residence") or None,
-        native_speaker=_parse_native(
-            _cell(raw.get("native_speaker"), cells, lineno, "native_speaker")
-        ),
-        best_understood_dialect=_cell(
-            raw.get("best_dialect"), cells, lineno, "best_dialect"
-        )
-        or None,
+    residence = _cell(raw.get("residence"), cells, lineno, "residence") or None
+    native_speaker = _parse_native(
+        _cell(raw.get("native_speaker"), cells, lineno, "native_speaker")
     )
-    hit_id = _cell(raw.get("hit_id"), cells, lineno, "hit_id") or ("line-%d" % lineno)
+    best_dialect = _cell(raw.get("best_dialect"), cells, lineno, "best_dialect") or None
     default_source = raw.get("source")
 
     rows = []
@@ -313,13 +284,16 @@ def _parse_hit_line(
             dialect = None
         rows.append(
             AnnotationRow(
-                source=source,
-                article_id=_cell(block.get("article_id"), cells, lineno, "article_id"),
-                sentence_text=_cell(block["text"], cells, lineno, "text"),
-                kind=kind,
-                level=level,
-                dialect=dialect,
-                annotator=annotator,
+                source,
+                _cell(block.get("article_id"), cells, lineno, "article_id"),
+                kind,
+                level,
+                dialect,
+                worker_id,
+                residence,
+                native_speaker,
+                best_dialect,
+                _cell(block["text"], cells, lineno, "text"),
             )
         )
 
@@ -329,7 +303,7 @@ def _parse_hit_line(
             "line %d: expected %d control cells, found %d"
             % (lineno, CONTROLS_PER_HIT, controls)
         )
-    return HitRow(hit_id=hit_id, annotator=annotator, sentences=tuple(rows))
+    return tuple(rows)
 
 
 def parse_hit_file(
@@ -337,8 +311,8 @@ def parse_hit_file(
     column_map: ColumnMapConfig,
     strict: bool = True,
     error_log: list[str] | None = None,
-) -> Iterator[HitRow]:
-    """Yield one HitRow per well-formed line of a tab-separated HIT export.
+) -> Iterator[tuple[AnnotationRow, ...]]:
+    """Yield the 12 rows of each well-formed line of a tab-separated HIT export.
 
     In strict mode any malformed line raises FormatError (with its line
     number); otherwise the line is skipped and the message appended to
@@ -366,9 +340,7 @@ def _sanitize_text(text: str) -> str:
 
 
 def format_row(r: AnnotationRow) -> str:
-    native = "" if r.annotator.native_speaker is None else (
-        "yes" if r.annotator.native_speaker else "no"
-    )
+    native = "" if r.native_speaker is None else ("yes" if r.native_speaker else "no")
     return "\t".join(
         (
             r.source,
@@ -376,10 +348,10 @@ def format_row(r: AnnotationRow) -> str:
             r.kind,
             r.level,
             r.dialect or "",
-            r.annotator.worker_id,
-            r.annotator.residence or "",
+            r.worker_id,
+            r.residence or "",
             native,
-            r.annotator.best_understood_dialect or "",
+            r.best_dialect or "",
             _sanitize_text(r.sentence_text),
         )
     )
@@ -393,6 +365,9 @@ def write_rows(rows: Iterable[AnnotationRow], fh: TextIO) -> int:
         fh.write(format_row(r) + "\n")
         count += 1
     return count
+
+
+_NATIVE_CELLS = {"yes": True, "no": False}
 
 
 def read_rows(path: str | Path) -> Iterator[AnnotationRow]:
@@ -422,16 +397,14 @@ def read_rows(path: str | Path) -> Iterator[AnnotationRow]:
                     "%s: line %d has unknown kind %r" % (path, lineno, kind)
                 )
             yield AnnotationRow(
-                source=source,
-                article_id=article_id,
-                sentence_text=text,
-                kind=kind,
-                level=level,
-                dialect=dialect or None,
-                annotator=AnnotatorInfo(
-                    worker_id=worker,
-                    residence=residence or None,
-                    native_speaker={"yes": True, "no": False}.get(native),
-                    best_understood_dialect=best or None,
-                ),
+                source,
+                article_id,
+                kind,
+                level,
+                dialect or None,
+                worker,
+                residence or None,
+                _NATIVE_CELLS.get(native),
+                best or None,
+                text,
             )

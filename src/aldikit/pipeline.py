@@ -40,7 +40,7 @@ def run_ingest(
             hit_path, cmap, strict=strict, error_log=error_log
         ):
             hit_count += 1
-            for row in hit.sentences:
+            for row in hit:
                 fh.write(ingest_mod.format_row(row) + "\n")
                 row_count += 1
                 per_source[row.source] = per_source.get(row.source, 0) + 1
@@ -148,7 +148,8 @@ def read_score_file(path: str | Path) -> dict[int, float]:
     """Predictions: 'id TAB score' per line.
 
     A bare score takes its data-line ordinal as id; blank and '#' lines are
-    not counted, so ids line up with the dataset ordinals.
+    not counted, so ids line up with the dataset ordinals. An id may occur
+    only once.
     """
     scores: dict[int, float] = {}
     ordinal = 0
@@ -161,13 +162,16 @@ def read_score_file(path: str | Path) -> dict[int, float]:
             parts = line.split("\t")
             try:
                 if len(parts) == 1:
-                    scores[ordinal] = float(parts[0])
+                    key, value = ordinal, float(parts[0])
                 else:
-                    scores[int(parts[0])] = float(parts[-1])
+                    key, value = int(parts[0]), float(parts[-1])
             except ValueError:
                 raise FormatError(
                     "%s: line %d is not 'id<TAB>score'" % (path, lineno)
                 ) from None
+            if key in scores:
+                raise FormatError("%s: line %d repeats id %d" % (path, lineno, key))
+            scores[key] = value
     if not scores:
         raise FormatError("%s contains no scores" % path)
     return scores

@@ -4,8 +4,8 @@ Every module that compares, groups, or scores sentences goes through these
 two functions, so the rules are deliberately small and deterministic:
 
 1. Unicode NFC.
-2. Strip Arabic diacritics (tashkeel, U+064B..U+0652) when configured.
-3. Strip tatweel/kashida (U+0640) when configured.
+2. Strip Arabic diacritics (tashkeel, U+064B..U+0652).
+3. Strip tatweel/kashida (U+0640).
 4. Collapse whitespace runs to single spaces and trim.
 
 Alef/ya letter unification is intentionally NOT performed: collapsing
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from functools import lru_cache
 
 # Tashkeel: fathatan..sukun. Kept as a range on purpose; marks outside it
@@ -31,31 +30,14 @@ _TATWEEL = "ـ"
 _WHITESPACE_RE = re.compile(r"\s+")
 
 
-@dataclass(frozen=True)
-class NormalizationConfig:
-    """Switches for the normalization pipeline (unicode form is fixed NFC)."""
-
-    strip_diacritics: bool = True
-    strip_tatweel: bool = True
-    unify_whitespace: bool = True
-
-
-DEFAULT_CONFIG = NormalizationConfig()
-
-
-def normalize(text: str, cfg: NormalizationConfig = DEFAULT_CONFIG) -> str:
+def normalize(text: str) -> str:
     """Normalize ``text``; applying it twice equals applying it once."""
     out = unicodedata.normalize("NFC", text)
-    if cfg.strip_diacritics:
-        out = _DIACRITICS_RE.sub("", out)
-    if cfg.strip_tatweel:
-        out = out.replace(_TATWEEL, "")
+    out = _DIACRITICS_RE.sub("", out).replace(_TATWEEL, "")
     # Re-run NFC: removing a mark can expose a base+mark pair that now
     # composes (e.g. alef + fatha + madda -> alef + madda -> alef-madda).
     out = unicodedata.normalize("NFC", out)
-    if cfg.unify_whitespace:
-        out = _WHITESPACE_RE.sub(" ", out).strip()
-    return out
+    return _WHITESPACE_RE.sub(" ", out).strip()
 
 
 @lru_cache(maxsize=None)

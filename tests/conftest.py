@@ -85,9 +85,12 @@ def make_row(
     return ingest.AnnotationRow(
         source=source,
         article_id=article_id,
-        sentence_text=text,
         kind=kind,
         level=level,
         dialect=dialect,
-        annotator=ingest.AnnotatorInfo(worker_id=worker),
+        worker_id=worker,
+        residence=None,
+        native_speaker=None,
+        best_dialect=None,
+        sentence_text=text,
     )

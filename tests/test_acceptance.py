@@ -21,7 +21,7 @@ import pytest
 
 from aldikit import cli, dataset, pipeline
 from aldikit.agreement import fleiss_kappa, krippendorff_alpha_interval
-from aldikit.dataset import CommentGroup, GroupAnnotation, aggregate, format_score
+from aldikit.dataset import CommentGroup, aggregate, format_score
 from aldikit.estimators import (
     Lexicon,
     LexiconEstimator,
@@ -40,6 +40,7 @@ from aldikit.evaluation import (
 from aldikit.speech import ScoreSeries, SeriesPoint, segment_html
 from aldikit.svgplot import HEIGHT, MARGIN_BOTTOM, MARGIN_TOP, render_svg
 
+from conftest import make_row, write_rows_file
 from test_agreement import oracle_alpha_interval, oracle_fleiss_kappa
 from test_speech import extract_marks
 
@@ -69,7 +70,7 @@ def make_group(levels):
         canonical_text="نص",
         raw_text="نص",
         kind="comment",
-        annotations=[GroupAnnotation(lv, None, "w") for lv in levels],
+        annotations=[make_row(level=lv) for lv in levels],
     )
 
 
@@ -323,8 +324,6 @@ def test_criterion_6_contrastive_matrix():
 
 
 def _rows_fixture(tmp_path):
-    from conftest import make_row, write_rows_file
-
     rng = random.Random(3)
     rows = []
     for a in range(8):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from aldikit import cli, ingest
+from aldikit.errors import FormatError
 from aldikit.evaluation import read_pairs_file
 from aldikit.pipeline import read_score_file, run_build_dataset, run_ingest
 
@@ -204,6 +205,31 @@ def test_score_file_ids_count_data_lines(tmp_path):
     assert read_score_file(path) == {1: 0.1, 2: 0.2, 3: 0.3}
 
 
+def test_score_file_rejects_repeated_id(tmp_path):
+    path = tmp_path / "scores.txt"
+    path.write_text("1\t0.5\n1\t0.9\n2\t0.1\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="line 2 repeats id 1"):
+        read_score_file(path)
+
+
+def test_evaluate_split_rejects_repeated_id(tmp_path, capsys):
+    rows_file = make_rows_fixture(tmp_path)
+    out_dir = tmp_path / "out"
+    run(["build-dataset", rows_file, "--seed", "5", "-o", out_dir])
+    dataset_file = out_dir / "dataset.tsv"
+    n = len(dataset_file.read_text(encoding="utf-8").splitlines()) - 1
+    preds = tmp_path / "preds.tsv"
+    preds.write_text(
+        "".join("%d\t0.5\n" % i for i in [1] + list(range(1, n + 1))),
+        encoding="utf-8",
+    )
+    code = run(
+        ["evaluate", "--gold", dataset_file, "--pred", preds, "--split", "train"]
+    )
+    assert code == 2
+    assert "repeats id 1" in capsys.readouterr().err
+
+
 def test_contrastive_command(tmp_path, capsys):
     matrix = tmp_path / "matrix.tsv"
     code = run(
@@ -269,6 +295,18 @@ def test_contrastive_requires_estimator(tmp_path, capsys):
     assert code == 2
 
 
+def test_contrastive_batch_size_needs_scorer(tmp_path, capsys):
+    code = run(
+        [
+            "contrastive", DATA_DIR / "contrastive_pairs_egy.tsv",
+            "--lexicon", DATA_DIR / "contrastive_lexicon.txt",
+            "--batch-size", "3",
+        ]
+    )
+    assert code == 2
+    assert "--batch-size" in capsys.readouterr().err
+
+
 def test_speech_command(tmp_path, capsys):
     html = tmp_path / "speech.html"
     html.write_text(
@@ -321,3 +359,34 @@ def test_score_json_and_stdout(tmp_path, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out.strip() == "1\t0.250000"
+
+
+@pytest.mark.parametrize("batch_size", ["0", "-1"])
+def test_score_rejects_batch_size_below_1(tmp_path, capsys, batch_size):
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("جملة\nجملة ثانية\n", encoding="utf-8")
+    code = run(
+        [
+            "score", "--estimator", "external",
+            "--scorer-cmd",
+            '%s -c "import sys; [print(0.25) for _ in sys.stdin]"' % sys.executable,
+            "--batch-size", batch_size,
+            "--sentences", sentences, "-o", tmp_path / "scores.tsv",
+        ]
+    )
+    assert code == 2
+    assert "batch size must be at least 1" in capsys.readouterr().err
+
+
+def test_score_batch_size_needs_external_estimator(tmp_path, capsys):
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("جملة\n", encoding="utf-8")
+    code = run(
+        [
+            "score", "--estimator", "lexicon",
+            "--lexicon", DATA_DIR / "contrastive_lexicon.txt",
+            "--batch-size", "3", "--sentences", sentences,
+        ]
+    )
+    assert code == 2
+    assert "--batch-size" in capsys.readouterr().err

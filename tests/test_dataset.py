@@ -6,7 +6,6 @@ import pytest
 from aldikit import dataset
 from aldikit.dataset import (
     CommentGroup,
-    GroupAnnotation,
     aggregate,
     categorize_discard,
     count_distinct_keys,
@@ -27,7 +26,9 @@ def make_group(levels, kind="comment", source="AlGhad", article="a1", text="نص
         canonical_text=text,
         raw_text=text,
         kind=kind,
-        annotations=[GroupAnnotation(lv, None, "w%d" % i) for i, lv in enumerate(levels)],
+        annotations=[
+            make_row(level=lv, worker="w%d" % i) for i, lv in enumerate(levels)
+        ],
     )
 
 

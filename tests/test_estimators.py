@@ -10,7 +10,6 @@ from aldikit.errors import FormatError, ProtocolError
 from aldikit.estimators import (
     BinaryDiEstimator,
     CmiEstimator,
-    ExternalScorerConfig,
     Lexicon,
     LexiconEstimator,
     binary_di_score,
@@ -183,7 +182,7 @@ def test_external_identity_scorer():
         "-c",
         "import sys\n[sys.stdout.write('0.11\\n') for _ in sys.stdin]\n",
     )
-    scores = external_score(["جملة"], ExternalScorerConfig(command=scorer))
+    scores = external_score(["جملة"], scorer)
     assert scores == [0.11]
 
 
@@ -194,16 +193,14 @@ def test_external_clipping():
         "import sys\nvals=['0.0','1.2','-0.5']\n"
         "[sys.stdout.write(vals.pop(0)+'\\n') for _ in sys.stdin]\n",
     )
-    scores = external_score(
-        ["a", "b", "c"], ExternalScorerConfig(command=scorer)
-    )
+    scores = external_score(["a", "b", "c"], scorer)
     assert scores == [0.0, 1.0, 0.0]
 
 
 def test_external_count_mismatch():
     scorer = (sys.executable, "-c", "import sys\nsys.stdin.read()\nprint('0.5')\n")
     with pytest.raises(ProtocolError, match="1 lines for 3"):
-        external_score(["a", "b", "c"], ExternalScorerConfig(command=scorer))
+        external_score(["a", "b", "c"], scorer)
 
 
 def test_external_non_numeric_line():
@@ -213,13 +210,13 @@ def test_external_non_numeric_line():
         "import sys\nsys.stdin.read()\nprint('0.5')\nprint('oops')\n",
     )
     with pytest.raises(ProtocolError, match="line 2"):
-        external_score(["a", "b"], ExternalScorerConfig(command=scorer))
+        external_score(["a", "b"], scorer)
 
 
 def test_external_nonzero_exit():
     scorer = (sys.executable, "-c", "import sys\nsys.exit(9)\n")
     with pytest.raises(ProtocolError, match="status 9"):
-        external_score(["a"], ExternalScorerConfig(command=scorer))
+        external_score(["a"], scorer)
 
 
 def test_external_batching_preserves_order():
@@ -231,8 +228,7 @@ def test_external_batching_preserves_order():
         "    print(len(line.strip()) / 10.0)\n",
     )
     sentences = ["a", "bb", "ccc", "dddd", "eeeee"]
-    config = ExternalScorerConfig(command=scorer, batch_size=2)
-    assert external_score(sentences, config) == [0.1, 0.2, 0.3, 0.4, 0.5]
+    assert external_score(sentences, scorer, batch_size=2) == [0.1, 0.2, 0.3, 0.4, 0.5]
 
 
 # ---------------------------------------------------------------------------

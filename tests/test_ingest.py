@@ -1,26 +1,34 @@
 import io
+import random
+import re
 
 import pytest
 
 from aldikit import ingest
 from aldikit.errors import FormatError
 
-from conftest import DEFAULT_CELLS, cells_with, make_hit_line, make_row
+from conftest import (
+    DEFAULT_CELLS,
+    cells_with,
+    make_hit_line,
+    make_row,
+    write_rows_file,
+)
 
 
 def test_parse_two_hits(hit_file, default_cmap):
     hits = list(ingest.parse_hit_file(hit_file, default_cmap))
     assert len(hits) == 2
-    assert sum(len(h.sentences) for h in hits) == 24
-    assert hits[0].hit_id == "hit1"
-    assert hits[1].annotator.residence == "EG"
+    assert sum(len(h) for h in hits) == 24
+    assert hits[1][0].residence == "EG"
 
 
 def test_explode_copies_annotator(hit_file, default_cmap):
-    hit = next(ingest.parse_hit_file(hit_file, default_cmap))
-    rows = hit.sentences
+    rows = next(ingest.parse_hit_file(hit_file, default_cmap))
     assert len(rows) == 12
-    assert all(r.annotator == hit.annotator for r in rows)
+    assert {
+        (r.worker_id, r.residence, r.native_speaker, r.best_dialect) for r in rows
+    } == {("w1", "JO", True, "LEV")}
     # sentence order preserved, field copy intact
     assert rows[2].level == "Most"
     assert rows[2].dialect == "EGY"
@@ -78,14 +86,14 @@ def test_msa_rows_drop_dialect(tmp_path, default_cmap):
     path = tmp_path / "hits.tsv"
     path.write_text(make_hit_line(cells=cells) + "\n", encoding="utf-8")
     hit = next(ingest.parse_hit_file(path, default_cmap))
-    assert hit.sentences[4].level == "MSA"
-    assert hit.sentences[4].dialect is None
+    assert hit[4].level == "MSA"
+    assert hit[4].dialect is None
 
 
 def test_rows_roundtrip_is_byte_stable(tmp_path, hit_file, default_cmap):
     rows = []
     for hit in ingest.parse_hit_file(hit_file, default_cmap):
-        rows.extend(hit.sentences)
+        rows.extend(hit)
     first = io.StringIO()
     ingest.write_rows(rows, first)
     path = tmp_path / "rows.tsv"
@@ -131,7 +139,7 @@ def test_column_map_kind_value_and_column():
     cmap = ingest.ColumnMapConfig({"worker_id": 0, "sentences": blocks})
     line = "\t".join(["w"] + ["نص %d" % i for i in range(12)])
     hit = ingest._parse_hit_line(line.split("\t"), cmap, lineno=1)
-    assert [s.kind for s in hit.sentences].count("control") == 2
+    assert [s.kind for s in hit].count("control") == 2
 
 
 def test_write_rows_sanitizes_text(tmp_path):
@@ -140,3 +148,75 @@ def test_write_rows_sanitizes_text(tmp_path):
     ingest.write_rows([row], fh)
     body = fh.getvalue().splitlines()[1]
     assert body.count("\t") == len(ingest.ROWS_HEADER) - 1
+
+
+# Text cells may hold any of these, separators included; other cells are
+# drawn from tab-free values, as the HIT parser produces them.
+_TEXT_ALPHABET = list("كتب ابدا جدا؟!x7") + ["\t", "\n", "\r", "\u2028"]
+
+
+def _maybe(rng: random.Random, values):
+    return rng.choice([None, *values])
+
+
+def _random_row(rng: random.Random) -> ingest.AnnotationRow:
+    return ingest.AnnotationRow(
+        source=rng.choice(ingest.SOURCES),
+        article_id="art%d" % rng.randrange(50),
+        kind=rng.choice(ingest.KINDS),
+        level=rng.choice(ingest.LEVELS),
+        dialect=_maybe(rng, ingest.DIALECTS),
+        worker_id="w%d" % rng.randrange(20),
+        residence=_maybe(rng, ("JO", "EG", "SA")),
+        native_speaker=rng.choice([True, False, None]),
+        best_dialect=_maybe(rng, ingest.DIALECTS),
+        sentence_text="".join(
+            rng.choice(_TEXT_ALPHABET) for _ in range(rng.randrange(0, 25))
+        ),
+    )
+
+
+def test_rows_roundtrip_property(tmp_path):
+    rng = random.Random(20231017)
+    rows = [_random_row(rng) for _ in range(500)]
+    assert {r.level for r in rows} == set(ingest.LEVELS)
+    assert {r.kind for r in rows} == set(ingest.KINDS)
+    assert {r.native_speaker for r in rows} == {True, False, None}
+    assert None in {r.dialect for r in rows} and None in {r.residence for r in rows}
+    assert any("\t" in r.sentence_text for r in rows)
+    assert any("\n" in r.sentence_text for r in rows)
+
+    path = write_rows_file(tmp_path, rows)
+    expected = [
+        r._replace(sentence_text=re.sub("[\t\n\r]", " ", r.sentence_text))
+        for r in rows
+    ]
+    assert list(ingest.read_rows(path)) == expected
+
+
+def test_read_rows_malformed_lines_raise_format_error(tmp_path):
+    rng = random.Random(7)
+    header = "\t".join(ingest.ROWS_HEADER)
+    for case in range(150):
+        row = _random_row(rng)
+        cells = ingest.format_row(row).split("\t")
+        broken = list(cells)
+        mutation = case % 3
+        if mutation == 0:
+            if rng.random() < 0.5:
+                del broken[rng.randrange(len(broken))]
+            else:
+                broken.insert(rng.randrange(len(broken) + 1), "extra")
+        else:
+            column = ingest.ROWS_HEADER.index("level" if mutation == 1 else "kind")
+            valid = ingest.LEVELS if mutation == 1 else ingest.KINDS
+            token = rng.choice(["", "msa", "Comment", "MSA ", "?", "Most?", "cmnt"])
+            assert token not in valid
+            broken[column] = token
+        good = ingest.format_row(_random_row(rng))
+        path = tmp_path / ("rows%d.tsv" % case)
+        path.write_text(
+            "\n".join([header, good, "\t".join(broken)]) + "\n", encoding="utf-8"
+        )
+        with pytest.raises(FormatError, match="line 3"):
+            list(ingest.read_rows(path))

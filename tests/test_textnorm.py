@@ -3,7 +3,7 @@ import random
 import unicodedata
 
 from aldikit import textnorm
-from aldikit.textnorm import NormalizationConfig, normalize, tokenize
+from aldikit.textnorm import normalize, tokenize
 
 
 def oracle_tokenize(text: str) -> list[str]:
@@ -63,12 +63,6 @@ def test_normalize_strips_fatha():
 
 def test_normalize_whitespace_and_trim():
     assert normalize("  ابدا   ابدا \n") == "ابدا ابدا"
-
-
-def test_normalize_respects_config():
-    cfg = NormalizationConfig(strip_diacritics=False, strip_tatweel=False)
-    text = "ابـدَا"
-    assert normalize(text, cfg) == text
 
 
 def test_normalize_idempotent_on_fixtures():
