@@ -237,11 +237,16 @@ def _cmd_evaluate(args) -> int:
     for record in selected:
         if record["id"] not in predictions:
             raise FormatError("no prediction for dataset row %d" % record["id"])
+        try:
+            gold = float(record["aldi"])
+        except ValueError:
+            raise FormatError(
+                "%s: row %d has non-numeric aldi %r"
+                % (args.gold, record["id"], record["aldi"])
+            ) from None
         pairs.append(
             eval_mod.ScoredPair(
-                gold=float(record["aldi"]),
-                predicted=predictions[record["id"]],
-                subset=record["kind"],
+                gold=gold, predicted=predictions[record["id"]], subset=record["kind"]
             )
         )
     if args.split is None and len(predictions) != len(selected):
@@ -472,11 +477,11 @@ def main(argv: list[str] | None = None) -> int:
     except ProtocolError as exc:
         print("protocol error: %s" % exc, file=sys.stderr)
         return EXIT_PROTOCOL
-    except (FormatError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_FORMAT
     except AldiError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_FORMAT
+    except UnicodeDecodeError as exc:
+        print("error: input is not UTF-8: %s" % exc, file=sys.stderr)
         return EXIT_FORMAT
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)

@@ -124,7 +124,8 @@ def lexicon_score(sentence: str, lexicon: Lexicon) -> float:
     tokens = textnorm.tokenize(textnorm.normalize(sentence))
     if not tokens:
         raise FormatError("cannot score an empty sentence")
-    oov = sum(1 for t in tokens if t not in lexicon)
+    known = lexicon.tokens
+    oov = sum(1 for t in tokens if t not in known)
     return oov / len(tokens)
 
 
@@ -224,7 +225,10 @@ def external_score(
                 "scorer exited with status %d: %s"
                 % (proc.returncode, proc.stderr.decode("utf-8", "replace").strip())
             )
-        lines = proc.stdout.decode("utf-8").splitlines()
+        try:
+            lines = proc.stdout.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ProtocolError("scorer output is not UTF-8: %s" % exc) from None
         lines = [ln for ln in lines if ln.strip()]
         if len(lines) != len(chunk):
             raise ProtocolError(

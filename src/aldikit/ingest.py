@@ -238,7 +238,7 @@ def parse_source(token: str, lineno: int = 0) -> str:
     return source
 
 
-def _parse_native(token: str) -> bool | None:
+def _parse_native(token: str, lineno: int) -> bool | None:
     token = token.strip().lower()
     if token in ("", "na", "n/a", "none"):
         return None
@@ -246,7 +246,7 @@ def _parse_native(token: str) -> bool | None:
         return True
     if token in ("no", "n", "false", "0"):
         return False
-    return None
+    raise FormatError("line %d: unknown native_speaker value %r" % (lineno, token))
 
 
 def _parse_hit_line(
@@ -258,7 +258,7 @@ def _parse_hit_line(
         raise FormatError("line %d: empty worker_id" % lineno)
     residence = _cell(raw.get("residence"), cells, lineno, "residence") or None
     native_speaker = _parse_native(
-        _cell(raw.get("native_speaker"), cells, lineno, "native_speaker")
+        _cell(raw.get("native_speaker"), cells, lineno, "native_speaker"), lineno
     )
     best_dialect = _cell(raw.get("best_dialect"), cells, lineno, "best_dialect") or None
     default_source = raw.get("source")
@@ -367,7 +367,7 @@ def write_rows(rows: Iterable[AnnotationRow], fh: TextIO) -> int:
     return count
 
 
-_NATIVE_CELLS = {"yes": True, "no": False}
+_NATIVE_CELLS = {"yes": True, "no": False, "": None}
 
 
 def read_rows(path: str | Path) -> Iterator[AnnotationRow]:
@@ -396,6 +396,18 @@ def read_rows(path: str | Path) -> Iterator[AnnotationRow]:
                 raise FormatError(
                     "%s: line %d has unknown kind %r" % (path, lineno, kind)
                 )
+            if source not in SOURCES:
+                raise FormatError(
+                    "%s: line %d has unknown source %r" % (path, lineno, source)
+                )
+            if dialect and dialect not in DIALECTS:
+                raise FormatError(
+                    "%s: line %d has unknown dialect %r" % (path, lineno, dialect)
+                )
+            if native not in _NATIVE_CELLS:
+                raise FormatError(
+                    "%s: line %d has unknown native_speaker %r" % (path, lineno, native)
+                )
             yield AnnotationRow(
                 source,
                 article_id,
@@ -404,7 +416,7 @@ def read_rows(path: str | Path) -> Iterator[AnnotationRow]:
                 dialect or None,
                 worker,
                 residence or None,
-                _NATIVE_CELLS.get(native),
+                _NATIVE_CELLS[native],
                 best or None,
                 text,
             )

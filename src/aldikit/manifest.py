@@ -15,6 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from .errors import FormatError
 
 
 def file_digest(path: str | Path) -> str:
@@ -28,7 +29,10 @@ def file_digest(path: str | Path) -> str:
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is not None:
-        moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+        try:
+            moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+        except (ValueError, OverflowError, OSError):
+            raise FormatError("unreadable SOURCE_DATE_EPOCH %r" % epoch) from None
     else:
         moment = datetime.now(tz=timezone.utc)
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")

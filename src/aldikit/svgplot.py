@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .errors import FormatError
 from .speech import ScoreSeries
 
 WIDTH = 800
@@ -57,7 +58,7 @@ def plot_coordinates(series: ScoreSeries) -> list[tuple[float, float]]:
 
 def render_svg(series: ScoreSeries) -> str:
     if not series.points:
-        raise ValueError("cannot plot an empty series")
+        raise FormatError("cannot plot an empty series")
     labels = sorted({p.di_label for p in series.points if p.di_label})
     color_of = {label: _PALETTE[i % len(_PALETTE)] for i, label in enumerate(labels)}
 

@@ -12,9 +12,11 @@ Alef/ya letter unification is intentionally NOT performed: collapsing
 orthographic variants would erase dialectal spelling cues that the
 downstream estimators rely on.
 
-Tokenization splits on whitespace after detaching punctuation: a token is a
-maximal run of word characters or a maximal run of punctuation/symbol
-characters, so "جدا...." yields ["جدا", "...."].
+Tokenization works per whitespace-separated word. A word whose characters
+are all alphanumeric is one token; in any other word a token is a maximal
+run of word characters or a maximal run of punctuation/symbol characters,
+so "جدا...." yields ["جدا", "...."]. The two rules agree because no
+alphanumeric character is in a punctuation or symbol category.
 """
 
 from __future__ import annotations
@@ -23,21 +25,21 @@ import re
 import unicodedata
 from functools import lru_cache
 
-# Tashkeel: fathatan..sukun. Kept as a range on purpose; marks outside it
-# (e.g. madda above U+0653) are letters' building blocks and must survive.
-_DIACRITICS_RE = re.compile(r"[ً-ْ]")
-_TATWEEL = "ـ"
-_WHITESPACE_RE = re.compile(r"\s+")
+# Tashkeel (fathatan..sukun) and tatweel/kashida. Kept as a range on purpose;
+# marks outside it (e.g. madda above U+0653) are letters' building blocks and
+# must survive.
+_STRIP_RE = re.compile(r"[\u064b-\u0652\u0640]+")
 
 
 def normalize(text: str) -> str:
     """Normalize ``text``; applying it twice equals applying it once."""
     out = unicodedata.normalize("NFC", text)
-    out = _DIACRITICS_RE.sub("", out).replace(_TATWEEL, "")
-    # Re-run NFC: removing a mark can expose a base+mark pair that now
-    # composes (e.g. alef + fatha + madda -> alef + madda -> alef-madda).
-    out = unicodedata.normalize("NFC", out)
-    return _WHITESPACE_RE.sub(" ", out).strip()
+    stripped = _STRIP_RE.sub("", out)
+    if len(stripped) != len(out):
+        # Re-run NFC: removing a mark can expose a base+mark pair that now
+        # composes (e.g. alef + tatweel + madda -> alef + madda -> alef-madda).
+        out = unicodedata.normalize("NFC", stripped)
+    return " ".join(out.split())
 
 
 @lru_cache(maxsize=None)
@@ -51,21 +53,19 @@ def tokenize(text: str) -> list[str]:
     Returns a possibly empty list; no token is empty or contains whitespace.
     """
     tokens: list[str] = []
-    run: list[str] = []
-    run_is_punct = False
-    for ch in text:
-        if ch.isspace():
-            if run:
+    for word in text.split():
+        if word.isalnum():
+            tokens.append(word)
+            continue
+        run: list[str] = []
+        run_is_punct = False
+        for ch in word:
+            punct = _is_punct(ch)
+            if run and punct != run_is_punct:
                 tokens.append("".join(run))
                 run = []
-            continue
-        punct = _is_punct(ch)
-        if run and punct != run_is_punct:
-            tokens.append("".join(run))
-            run = []
-        run.append(ch)
-        run_is_punct = punct
-    if run:
+            run.append(ch)
+            run_is_punct = punct
         tokens.append("".join(run))
     return tokens
 

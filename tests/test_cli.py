@@ -1,10 +1,11 @@
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from aldikit import cli, ingest
+from aldikit import cli, ingest, pipeline
 from aldikit.errors import FormatError
 from aldikit.evaluation import read_pairs_file
 from aldikit.pipeline import read_score_file, run_build_dataset, run_ingest
@@ -100,6 +101,44 @@ def test_build_dataset_outputs(tmp_path, capsys):
     assert discarded[1].split("\t")[3] == "Symbols"
 
 
+@pytest.mark.parametrize(
+    "column, value",
+    [("source", "Bogus"), ("dialect", "XYZ"), ("native_speaker", "maybe")],
+)
+def test_build_dataset_rejects_unknown_cell(tmp_path, capsys, column, value):
+    rows_file = make_rows_fixture(tmp_path)
+    lines = rows_file.read_text(encoding="utf-8").splitlines()
+    cells = lines[2].split("\t")
+    cells[ingest.ROWS_HEADER.index(column)] = value
+    lines[2] = "\t".join(cells)
+    rows_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["build-dataset", rows_file, "-o", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and repr(value) in err
+
+
+def test_build_dataset_non_utf8_rows_exits_2(tmp_path, capsys):
+    rows_file = make_rows_fixture(tmp_path)
+    rows_file.write_bytes(rows_file.read_bytes() + b"AlGhad\t\xff\xfe\n")
+    assert run(["build-dataset", rows_file, "-o", tmp_path / "out"]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_reported_as_bad_input(tmp_path, monkeypatch):
+    def broken(rows_path):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(pipeline, "run_agreement", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        run(["agreement", make_rows_fixture(tmp_path)])
+
+
+def test_unreadable_source_date_epoch_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "99999999999999999999")
+    assert run(["build-dataset", make_rows_fixture(tmp_path), "-o", tmp_path / "o"]) == 2
+    assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
+
+
 def test_build_dataset_replays_assignment(tmp_path):
     rows_file = make_rows_fixture(tmp_path)
     first = tmp_path / "first"
@@ -189,6 +228,24 @@ def test_evaluate_missing_prediction_exits_2(tmp_path, capsys):
     assert run(["evaluate", "--gold", out_dir / "dataset.tsv", "--pred", preds]) == 2
 
 
+def test_evaluate_non_numeric_gold_exits_2(tmp_path, capsys):
+    rows_file = make_rows_fixture(tmp_path)
+    out_dir = tmp_path / "out"
+    run(["build-dataset", rows_file, "--seed", "5", "-o", out_dir])
+    dataset_file = out_dir / "dataset.tsv"
+    lines = dataset_file.read_text(encoding="utf-8").splitlines()
+    aldi_col = lines[0].split("\t").index("aldi")
+    cells = lines[1].split("\t")
+    cells[aldi_col] = "high"
+    lines[1] = "\t".join(cells)
+    dataset_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("".join("0.5\n" for _ in lines[1:]), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["evaluate", "--gold", dataset_file, "--pred", preds]) == 2
+    assert "row 1 has non-numeric aldi 'high'" in capsys.readouterr().err
+
+
 def test_dprime_command(tmp_path, capsys):
     a = tmp_path / "a.tsv"
     b = tmp_path / "b.tsv"
@@ -210,6 +267,37 @@ def test_score_file_rejects_repeated_id(tmp_path):
     path.write_text("1\t0.5\n1\t0.9\n2\t0.1\n", encoding="utf-8")
     with pytest.raises(FormatError, match="line 2 repeats id 1"):
         read_score_file(path)
+
+
+# Cells for the score-file fuzz test: good, odd and bad numbers and ids.
+_SCORE_CELLS = [
+    "1", "2", "0.5", "-1", "0.25", "1e999", "nan", "-inf", "0x10", "1_0", "١",
+    "", " ", "abc", "1.2.3", "+", "--1", "1e", ".", "#", "9" * 5000,
+]
+
+
+def test_read_score_file_fuzz_raises_only_format_error(tmp_path):
+    rng = random.Random(20231023)
+    outcomes = set()
+    for case in range(300):
+        lines = []
+        for _ in range(rng.randrange(0, 6)):
+            shape = rng.randrange(4)
+            if shape == 3:
+                lines.append(rng.choice(["# note", "", "  ", "\r", "x\r", "\t"]))
+            else:
+                cells = [1, 2, rng.randrange(3, 5)][shape]
+                lines.append("\t".join(rng.choice(_SCORE_CELLS) for _ in range(cells)))
+        path = tmp_path / ("scores%d.tsv" % case)
+        path.write_text("\n".join(lines) + rng.choice(["", "\n"]), encoding="utf-8")
+        try:
+            scores = read_score_file(path)
+        except FormatError:
+            outcomes.add("error")
+            continue
+        outcomes.add("scores")
+        assert scores and all(isinstance(v, float) for v in scores.values())
+    assert outcomes == {"error", "scores"}
 
 
 def test_evaluate_split_rejects_repeated_id(tmp_path, capsys):
@@ -344,6 +432,21 @@ def test_external_scorer_protocol_error_exits_3(tmp_path):
         ]
     )
     assert code == 3
+
+
+def test_external_scorer_non_utf8_output_exits_3(tmp_path, capsys):
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("جملة\n", encoding="utf-8")
+    scorer = "import sys; sys.stdin.read(); sys.stdout.buffer.write(b'0.5\\xff\\n')"
+    code = run(
+        [
+            "score", "--estimator", "external",
+            "--scorer-cmd", '%s -c "%s"' % (sys.executable, scorer),
+            "--sentences", sentences,
+        ]
+    )
+    assert code == 3
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_score_json_and_stdout(tmp_path, capsys):

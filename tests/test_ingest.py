@@ -66,6 +66,20 @@ def test_lenient_mode_skips_and_logs(tmp_path, default_cmap):
     assert "line 1" in log[0]
 
 
+def test_unknown_native_speaker_rejected_or_skipped(tmp_path, default_cmap):
+    path = tmp_path / "hits.tsv"
+    path.write_text(
+        make_hit_line("hit1", "w1", native="maybe") + "\n" + make_hit_line() + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(FormatError, match="line 1: unknown native_speaker value 'maybe'"):
+        list(ingest.parse_hit_file(path, default_cmap))
+    log = []
+    hits = list(ingest.parse_hit_file(path, default_cmap, strict=False, error_log=log))
+    assert len(hits) == 1
+    assert len(log) == 1 and "line 1" in log[0]
+
+
 def test_control_count_enforced(tmp_path, default_cmap):
     cells = cells_with({0: ("AlGhad", "art1", "comment", "نص", "MSA", "")})
     path = tmp_path / "bad.tsv"
@@ -194,6 +208,16 @@ def test_rows_roundtrip_property(tmp_path):
     assert list(ingest.read_rows(path)) == expected
 
 
+# Cells read_rows checks, with the values it accepts.
+_CHECKED_CELLS = (
+    ("level", ingest.LEVELS),
+    ("kind", ingest.KINDS),
+    ("source", ingest.SOURCES),
+    ("dialect", ingest.DIALECTS + ("",)),
+    ("native_speaker", ("yes", "no", "")),
+)
+
+
 def test_read_rows_malformed_lines_raise_format_error(tmp_path):
     rng = random.Random(7)
     header = "\t".join(ingest.ROWS_HEADER)
@@ -201,18 +225,19 @@ def test_read_rows_malformed_lines_raise_format_error(tmp_path):
         row = _random_row(rng)
         cells = ingest.format_row(row).split("\t")
         broken = list(cells)
-        mutation = case % 3
+        mutation = case % 6
         if mutation == 0:
             if rng.random() < 0.5:
                 del broken[rng.randrange(len(broken))]
             else:
                 broken.insert(rng.randrange(len(broken) + 1), "extra")
         else:
-            column = ingest.ROWS_HEADER.index("level" if mutation == 1 else "kind")
-            valid = ingest.LEVELS if mutation == 1 else ingest.KINDS
-            token = rng.choice(["", "msa", "Comment", "MSA ", "?", "Most?", "cmnt"])
+            name, valid = _CHECKED_CELLS[mutation - 1]
+            tokens = ["msa", "Comment", "MSA ", "?", "Most?", "cmnt", "Bogus", "egy",
+                      "maybe", "Yes"]
+            token = rng.choice(tokens + ([""] if "" not in valid else []))
             assert token not in valid
-            broken[column] = token
+            broken[ingest.ROWS_HEADER.index(name)] = token
         good = ingest.format_row(_random_row(rng))
         path = tmp_path / ("rows%d.tsv" % case)
         path.write_text(

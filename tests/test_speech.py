@@ -1,5 +1,7 @@
 import io
+import random
 import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from aldikit.errors import FormatError
 from aldikit.estimators import Lexicon, LexiconEstimator
 from aldikit.speech import ScoreSeries, SeriesPoint, score_series, segment_html, write_series_csv
+from aldikit.textnorm import normalize
 from aldikit.svgplot import HEIGHT, MARGIN_BOTTOM, MARGIN_TOP, plot_coordinates, render_svg
 
 
@@ -65,6 +68,40 @@ def test_segment_unknown_mode():
 def test_segment_unclosed_p_best_effort():
     with pytest.warns(UserWarning, match="best-effort"):
         assert segment_html("<p>بدون إغلاق", "p") == ["بدون إغلاق"]
+
+
+# Markup pieces for the fuzz test: tags of both modes, skipped elements,
+# comments, CDATA and declarations, good and bad character references,
+# stray angle brackets and quotes, tabs, CR and NUL.
+_HTML_PIECES = [
+    "<p>", "</p>", "<br>", "<br/>", "<BR />", "<p class='x'>", "<div>", "</div>",
+    "<script>", "</script>", "<style>", "</style>", "<!--", "-->", "<![CDATA[",
+    "]]>", "<!DOCTYPE html>", "<?php ?>", "&amp;", "&#1576;", "&#x62a;", "&#0;",
+    "&#xD800;", "&#xFFFFFFFF;", "&#99999999999;", "&bogus;", "&", "&#", "&#x",
+    "<", ">", "</", "</>", "<1>", "<a b=c d>", '<a href="', '"', "'", "<p", "<br",
+    "\t", "\n", "\r", "\x00", " ", "كلمة", "نص", "abc", "١٢", "\u064e\u0640",
+]
+
+
+def test_segment_html_fuzz_raises_only_format_error():
+    rng = random.Random(20231022)
+    outcomes = set()
+    for _ in range(3000):
+        html = "".join(rng.choice(_HTML_PIECES) for _ in range(rng.randrange(0, 30)))
+        if rng.random() < 0.3:
+            html = html[: rng.randrange(len(html) + 1)]  # truncated markup
+        mode = rng.choice(("br", "p"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                segments = segment_html(html, mode)
+            except FormatError:
+                outcomes.add("error")
+                continue
+        outcomes.add("segments")
+        for segment in segments:
+            assert segment and normalize(segment) == segment, repr(html)
+    assert outcomes == {"error", "segments"}
 
 
 # ---------------------------------------------------------------------------
@@ -182,3 +219,8 @@ def test_di_labels_get_distinct_colors():
     svg = render_svg(make_series([0.2, 0.8], labels=["MSA", "DA"]))
     fills = set(re.findall(r'class="pt"[^/]*fill="(#\w+)"', svg))
     assert len(fills) == 2
+
+
+def test_empty_series_plot_is_format_error():
+    with pytest.raises(FormatError, match="empty series"):
+        render_svg(ScoreSeries("doc", "lexicon", ()))

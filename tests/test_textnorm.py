@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import sys
 import unicodedata
 
 from aldikit import textnorm
@@ -22,6 +24,41 @@ def oracle_tokenize(text: str) -> list[str]:
         if key != "space":
             tokens.append("".join(chars))
     return tokens
+
+
+def reference_normalize(text: str) -> str:
+    """The normalization rules applied one pass each: NFC, strip tashkeel and
+    tatweel, NFC again, collapse whitespace runs, trim."""
+    out = unicodedata.normalize("NFC", text)
+    out = re.sub("[\u064b-\u0652]", "", out).replace("\u0640", "")
+    out = unicodedata.normalize("NFC", out)
+    return re.sub(r"\s+", " ", out).strip()
+
+
+WHITESPACE = [chr(cp) for cp in range(sys.maxunicode + 1) if chr(cp).isspace()]
+
+# Every class the tokenizer and normalizer tell apart, plus the characters
+# where they could disagree with the references.
+PROPERTY_ALPHABET = (
+    WHITESPACE
+    + list("ابتجدزكلمنهويءآأإةى")  # Arabic letters
+    + ["\u0653", "\u0654", "\u0655", "\u0670"]  # marks that survive
+    + [chr(cp) for cp in range(0x064B, 0x0653)]  # tashkeel
+    + ["\u0640"]  # tatweel
+    + list("٠١٢٣٤٥٦٧٨٩0123456789")
+    + list(".,!?-():;'\"")  # ASCII punctuation
+    + list("،؛؟٪")  # Arabic punctuation
+    + list("%=«»+$")  # symbols and quotes
+    + ["\u200c"]  # ZWNJ
+    + list("abcXYZ")
+    + ["e\u0301"]  # decomposed letter that NFC composes
+)
+
+
+def random_text(rng: random.Random, max_len: int = 30) -> str:
+    return "".join(
+        rng.choice(PROPERTY_ALPHABET) for _ in range(rng.randrange(0, max_len))
+    )
 
 
 TOKENIZE_FIXTURES = [
@@ -120,3 +157,37 @@ def test_word_count_reports_both_conventions():
     ws, tok = textnorm.word_count("جدا....")
     assert ws == 1
     assert tok == 2
+
+
+def test_tokenize_matches_oracle_random():
+    rng = random.Random(20231020)
+    for _ in range(3000):
+        text = random_text(rng)
+        assert tokenize(text) == oracle_tokenize(text), repr(text)
+        once = normalize(text)
+        assert tokenize(once) == oracle_tokenize(once), repr(text)
+
+
+def test_normalize_matches_reference_random():
+    rng = random.Random(20231021)
+    for _ in range(3000):
+        text = random_text(rng)
+        assert normalize(text) == reference_normalize(text), repr(text)
+
+
+def test_normalize_matches_reference_on_fixtures():
+    # alef + tatweel + madda composes only after the tatweel is gone
+    extra = ["آَبرز", "ابـــدا", "كتَب", "اـٓ", "\u3000ا\u0085ب\xa0"]
+    for text in TOKENIZE_FIXTURES + extra:
+        assert normalize(text) == reference_normalize(text), repr(text)
+
+
+def test_no_alphanumeric_character_is_punctuation_or_symbol():
+    # tokenize keeps an all-alphanumeric word whole; that equals the
+    # character-class rule only while this holds.
+    clashes = [
+        "U+%04X" % cp
+        for cp in range(sys.maxunicode + 1)
+        if chr(cp).isalnum() and unicodedata.category(chr(cp))[0] in ("P", "S")
+    ]
+    assert clashes == []
