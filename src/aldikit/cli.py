@@ -158,9 +158,7 @@ def _cmd_agreement(args) -> int:
 
 def _cmd_build_lexicon(args) -> int:
     with open(args.corpus, encoding="utf-8") as fh:
-        lexicon, counts = est_mod.build_lexicon(
-            fh, min_occurrences=args.min_count, source_name=str(args.corpus)
-        )
+        lexicon, counts = est_mod.build_lexicon(fh, min_occurrences=args.min_count)
     est_mod.save_lexicon(lexicon, args.output, counts if args.counts else None)
     write_manifest(
         str(args.output) + ".manifest.json",

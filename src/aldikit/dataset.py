@@ -80,10 +80,6 @@ class CommentGroup:
     aldi: Fraction | None = None
     split: str | None = None
 
-    @property
-    def usable_levels(self) -> list[str]:
-        return [a.level for a in self.annotations if a.level in LEVEL_VALUES]
-
 
 def format_score(score: Fraction | float, places: int = 6) -> str:
     """Fixed-point decimal rendering, round half even."""

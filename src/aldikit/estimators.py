@@ -19,6 +19,7 @@ would only manufacture false out-of-vocabulary hits.
 
 from __future__ import annotations
 
+import math
 import subprocess
 import warnings
 from collections import Counter
@@ -58,7 +59,6 @@ class Lexicon:
 
     tokens: frozenset[str]
     min_count: int
-    source_name: str = ""
 
     def __contains__(self, token: str) -> bool:
         return token in self.tokens
@@ -68,9 +68,7 @@ class Lexicon:
 
 
 def build_lexicon(
-    corpus: Iterable[str],
-    min_occurrences: int = 2,
-    source_name: str = "",
+    corpus: Iterable[str], min_occurrences: int = 2
 ) -> tuple[Lexicon, Counter]:
     """Count normalized tokens over corpus lines; keep those with
     frequency >= min_occurrences. Returns (lexicon, full counts)."""
@@ -82,7 +80,7 @@ def build_lexicon(
     kept = frozenset(t for t, c in counts.items() if c >= min_occurrences)
     if not counts:
         warnings.warn("empty corpus produced an empty lexicon", stacklevel=2)
-    return Lexicon(kept, min_occurrences, source_name), counts
+    return Lexicon(kept, min_occurrences), counts
 
 
 def save_lexicon(
@@ -116,7 +114,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
             if not line:
                 continue
             tokens.add(line.split("\t", 1)[0])
-    return Lexicon(frozenset(tokens), min_count, source_name=str(path))
+    return Lexicon(frozenset(tokens), min_count)
 
 
 def lexicon_score(sentence: str, lexicon: Lexicon) -> float:
@@ -129,10 +127,10 @@ def lexicon_score(sentence: str, lexicon: Lexicon) -> float:
     return oov / len(tokens)
 
 
-def binary_di_score(label: str, known_labels: frozenset[str] = KNOWN_DI_LABELS) -> float:
+def binary_di_score(label: str) -> float:
     """0 for MSA, 1 for any other dialect label."""
     token = label.strip()
-    if not token or token.upper() not in known_labels:
+    if not token or token.upper() not in KNOWN_DI_LABELS:
         raise FormatError("unknown sentence-DI label %r" % label)
     return 0.0 if token.upper() == "MSA" else 1.0
 
@@ -238,10 +236,12 @@ def external_score(
             try:
                 value = float(line.strip())
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise ProtocolError(
-                    "scorer output line %d is not a number: %r"
+                    "scorer output line %d is not a finite number: %r"
                     % (start + offset + 1, line)
-                ) from None
+                )
             scores.append(_clip(value))
     return scores
 

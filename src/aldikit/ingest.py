@@ -103,8 +103,8 @@ ROWS_HEADER = AnnotationRow._fields
 class ColumnMapConfig:
     """Column layout of one HIT export variant.
 
-    JSON schema (all sentence fields take either an integer column index or
-    ``{"value": "..."}`` for a constant)::
+    JSON schema (a field takes an integer column index, ``{"column": n}``,
+    or ``{"value": "..."}`` for a constant)::
 
         {
           "worker_id": 1,
@@ -123,16 +123,34 @@ class ColumnMapConfig:
 
     ``kind`` must be stated per block, either as a constant (positional
     controls) or as a column index (flagged controls); it is never guessed.
+
+    The map is resolved and checked once, at load: each field becomes a column
+    index or a constant string (``""`` if absent; a block without ``source``
+    takes the top-level one). A bad reference, a ``level_aliases`` target
+    outside ``LEVELS`` or a constant that its alias table rejects raises
+    FormatError here, not on every line. Unknown keys are ignored.
     """
 
     def __init__(self, raw: dict):
-        self.raw = raw
         sentences = raw.get("sentences")
         if not isinstance(sentences, list) or len(sentences) != SENTENCES_PER_HIT:
             raise FormatError(
                 "column map must declare exactly %d sentence blocks, got %s"
                 % (SENTENCES_PER_HIT, "none" if sentences is None else len(sentences))
             )
+        if "worker_id" not in raw:
+            raise FormatError("column map is missing the 'worker_id' field")
+        self.level_aliases = dict(LEVEL_ALIASES)
+        for alias, level in raw.get("level_aliases", {}).items():
+            if level not in LEVELS:
+                raise FormatError("level alias %r: unknown level %r" % (alias, level))
+            self.level_aliases[alias.lower()] = level
+        self.columns: int | None = raw.get("columns")
+        self.annotator = tuple(
+            _resolve(raw.get(f), repr(f))
+            for f in ("worker_id", "residence", "native_speaker", "best_dialect")
+        )
+        self.blocks = []
         for i, block in enumerate(sentences):
             for field in ("text", "level", "kind"):
                 if field not in block:
@@ -143,32 +161,26 @@ class ColumnMapConfig:
                 raise FormatError(
                     "sentence block %d has no 'source' and no top-level default" % i
                 )
-        if "worker_id" not in raw:
-            raise FormatError("column map is missing the 'worker_id' field")
-        self.level_aliases = dict(LEVEL_ALIASES)
-        self.level_aliases.update(
-            {k.lower(): v for k, v in raw.get("level_aliases", {}).items()}
-        )
-        self.columns: int | None = raw.get("columns")
-        self._min_columns = 1 + max(self._indices(raw))
-
-    @staticmethod
-    def _indices(raw: dict) -> Iterator[int]:
-        def walk(node):
-            if isinstance(node, int) and not isinstance(node, bool):
-                yield node
-            elif isinstance(node, dict):
-                for key, sub in node.items():
-                    if key == "value":
-                        continue
-                    yield from walk(sub)
-            elif isinstance(node, list):
-                for sub in node:
-                    yield from walk(sub)
-
-        yield from walk(
-            {k: v for k, v in raw.items() if k not in ("columns", "level_aliases")}
-        )
+            block = {"source": raw.get("source"), **block}
+            refs = tuple(
+                _resolve(block.get(f), "%r of sentence block %d" % (f, i))
+                for f in ("source", "article_id", "kind", "level", "dialect", "text")
+            )
+            source, _, kind, level, dialect, _ = refs
+            for token, aliases, what in (
+                (source, SOURCE_ALIASES, "source"),
+                (level, self.level_aliases, "level label"),
+                (dialect, DIALECT_ALIASES, "dialect label"),
+            ):
+                if isinstance(token, str) and token.strip().lower() not in aliases:
+                    raise FormatError(
+                        "sentence block %d has unknown %s %r" % (i, what, token)
+                    )
+            if isinstance(kind, str) and kind.lower() not in KIND_ALIASES:
+                raise FormatError("sentence block %d has unknown kind %r" % (i, kind))
+            self.blocks.append(refs)
+        indices = [r for r in self.annotator + sum(self.blocks, ()) if isinstance(r, int)]
+        self.min_columns = 1 + max(indices, default=-1)
 
     @classmethod
     def load(cls, path: str | Path) -> "ColumnMapConfig":
@@ -183,59 +195,31 @@ class ColumnMapConfig:
     def default(cls) -> "ColumnMapConfig":
         return cls.load(Path(__file__).parent / "data" / "aoc_column_map.json")
 
-    def check_width(self, cells: list[str], lineno: int) -> None:
-        if self.columns is not None and len(cells) != self.columns:
-            raise FormatError(
-                "line %d: expected %d columns, found %d"
-                % (lineno, self.columns, len(cells))
-            )
-        if len(cells) < self._min_columns:
-            raise FormatError(
-                "line %d: expected at least %d columns, found %d"
-                % (lineno, self._min_columns, len(cells))
-            )
 
-
-def _cell(ref, cells: list[str], lineno: int, field: str) -> str:
-    """Resolve a column-map field reference against one line's cells."""
+def _resolve(ref, field: str) -> int | str:
+    """One column-map reference as a column index or a constant string."""
     if ref is None:
         return ""
     if isinstance(ref, dict):
         if "value" in ref:
             return str(ref["value"])
         ref = ref.get("column")
-    if isinstance(ref, int):
-        try:
-            return cells[ref].strip()
-        except IndexError:
-            raise FormatError(
-                "line %d: column %d for %r is out of range" % (lineno, ref, field)
-            ) from None
-    raise FormatError("column map field %r has unusable reference %r" % (field, ref))
+    if isinstance(ref, int) and not isinstance(ref, bool) and ref >= 0:
+        return ref
+    raise FormatError("column map field %s has unusable reference %r" % (field, ref))
 
 
-def parse_level(token: str, aliases: dict[str, str], lineno: int = 0) -> str:
-    level = aliases.get(token.strip().lower())
-    if level is None:
-        where = " at line %d" % lineno if lineno else ""
-        raise FormatError("unknown level label %r%s" % (token, where))
-    return level
+def _values(cells: list[str], refs: tuple[int | str, ...]) -> list[str]:
+    """Each reference's value on one line: its stripped cell, or the constant as is."""
+    return [ref if isinstance(ref, str) else cells[ref].strip() for ref in refs]
 
 
-def parse_dialect(token: str, lineno: int = 0) -> str | None:
-    dialect = DIALECT_ALIASES.get(token.strip().lower())
-    if dialect is None:
-        where = " at line %d" % lineno if lineno else ""
-        raise FormatError("unknown dialect label %r%s" % (token, where))
-    return dialect or None
-
-
-def parse_source(token: str, lineno: int = 0) -> str:
-    source = SOURCE_ALIASES.get(token.strip().lower())
-    if source is None:
-        where = " at line %d" % lineno if lineno else ""
-        raise FormatError("unknown source %r%s" % (token, where))
-    return source
+def parse_label(token: str, aliases: dict[str, str], what: str, lineno: int) -> str:
+    """The canonical label of ``token``; ``what`` names its kind in the error."""
+    label = aliases.get(token.strip().lower())
+    if label is None:
+        raise FormatError("unknown %s %r at line %d" % (what, token, lineno))
+    return label
 
 
 def _parse_native(token: str, lineno: int) -> bool | None:
@@ -252,50 +236,37 @@ def _parse_native(token: str, lineno: int) -> bool | None:
 def _parse_hit_line(
     cells: list[str], cmap: ColumnMapConfig, lineno: int
 ) -> tuple[AnnotationRow, ...]:
-    raw = cmap.raw
-    worker_id = _cell(raw.get("worker_id"), cells, lineno, "worker_id")
+    if cmap.columns is not None and len(cells) != cmap.columns:
+        raise FormatError(
+            "line %d: expected %d columns, found %d" % (lineno, cmap.columns, len(cells))
+        )
+    if len(cells) < cmap.min_columns:
+        raise FormatError(
+            "line %d: expected at least %d columns, found %d"
+            % (lineno, cmap.min_columns, len(cells))
+        )
+    worker_id, residence, native, best_dialect = _values(cells, cmap.annotator)
     if not worker_id:
         raise FormatError("line %d: empty worker_id" % lineno)
-    residence = _cell(raw.get("residence"), cells, lineno, "residence") or None
-    native_speaker = _parse_native(
-        _cell(raw.get("native_speaker"), cells, lineno, "native_speaker"), lineno
-    )
-    best_dialect = _cell(raw.get("best_dialect"), cells, lineno, "best_dialect") or None
-    default_source = raw.get("source")
+    native_speaker = _parse_native(native, lineno)
+    annotator = (worker_id, residence or None, native_speaker, best_dialect or None)
 
     rows = []
-    for i, block in enumerate(raw["sentences"]):
-        source = parse_source(
-            _cell(block.get("source", default_source), cells, lineno, "source"), lineno
-        )
-        kind_token = _cell(block["kind"], cells, lineno, "kind").lower()
-        kind = KIND_ALIASES.get(kind_token)
+    for i, refs in enumerate(cmap.blocks):
+        source, article_id, kind, level, dialect, text = _values(cells, refs)
+        source = parse_label(source, SOURCE_ALIASES, "source", lineno)
+        kind = KIND_ALIASES.get(kind_token := kind.lower())
         if kind is None:
             raise FormatError(
                 "line %d: sentence block %d has unknown kind %r" % (lineno, i, kind_token)
             )
-        level = parse_level(
-            _cell(block["level"], cells, lineno, "level"), cmap.level_aliases, lineno
-        )
-        dialect = parse_dialect(
-            _cell(block.get("dialect"), cells, lineno, "dialect"), lineno
-        )
-        if level == "MSA":
-            dialect = None
-        rows.append(
-            AnnotationRow(
-                source,
-                _cell(block.get("article_id"), cells, lineno, "article_id"),
-                kind,
-                level,
-                dialect,
-                worker_id,
-                residence,
-                native_speaker,
-                best_dialect,
-                _cell(block["text"], cells, lineno, "text"),
-            )
-        )
+        level = parse_label(level, cmap.level_aliases, "level label", lineno)
+        # An MSA row drops its dialect, but only after the token is checked.
+        dialect = parse_label(dialect, DIALECT_ALIASES, "dialect label", lineno) or None
+        rows.append(AnnotationRow(
+            source, article_id, kind, level, None if level == "MSA" else dialect,
+            *annotator, text,
+        ))
 
     controls = sum(1 for r in rows if r.kind == "control")
     if controls != CONTROLS_PER_HIT:
@@ -325,7 +296,6 @@ def parse_hit_file(
                 continue
             cells = line.split("\t")
             try:
-                column_map.check_width(cells, lineno)
                 yield _parse_hit_line(cells, column_map, lineno)
             except FormatError as exc:
                 if strict:

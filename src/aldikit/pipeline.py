@@ -8,6 +8,8 @@ dict suitable for --json printing.
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
@@ -31,19 +33,18 @@ def run_ingest(
         else ingest_mod.ColumnMapConfig.default()
     )
     error_log: list[str] = []
-    hit_count = 0
-    row_count = 0
-    per_source: dict[str, int] = {}
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(ingest_mod.ROWS_HEADER) + "\n")
+    per_source: Counter = Counter()
+
+    def rows():
         for hit in ingest_mod.parse_hit_file(
             hit_path, cmap, strict=strict, error_log=error_log
         ):
-            hit_count += 1
-            for row in hit:
-                fh.write(ingest_mod.format_row(row) + "\n")
-                row_count += 1
-                per_source[row.source] = per_source.get(row.source, 0) + 1
+            per_source.update(row.source for row in hit)
+            yield from hit
+
+    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        row_count = ingest_mod.write_rows(rows(), fh)
+    hit_count = row_count // ingest_mod.SENTENCES_PER_HIT  # every hit is 12 rows
     inputs = [hit_path] + ([column_map_path] if column_map_path else [])
     write_manifest(
         str(out_path) + ".manifest.json",
@@ -169,6 +170,10 @@ def read_score_file(path: str | Path) -> dict[int, float]:
                 raise FormatError(
                     "%s: line %d is not 'id<TAB>score'" % (path, lineno)
                 ) from None
+            if not math.isfinite(value):
+                raise FormatError(
+                    "%s: line %d has non-finite score %r" % (path, lineno, parts[-1])
+                )
             if key in scores:
                 raise FormatError("%s: line %d repeats id %d" % (path, lineno, key))
             scores[key] = value

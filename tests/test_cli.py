@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -47,6 +48,35 @@ def test_ingest_bad_column_map_exits_2(hit_file, tmp_path, capsys):
     code = run(["ingest", hit_file, "--column-map", cmap, "-o", tmp_path / "o.tsv"])
     assert code == 2
     assert "sentence blocks" in capsys.readouterr().err
+
+
+# Column-map faults that a line-by-line reading of the map let through or
+# turned into one skipped line per input line.
+_MAP_FAULTS = [
+    ("text", "eight", "'text' of sentence block 0 has unusable reference 'eight'"),
+    ("text", True, "'text' of sentence block 0 has unusable reference True"),
+    ("text", -1, "'text' of sentence block 0 has unusable reference -1"),
+    ("level_aliases", {"msa": "Bogus"}, "level alias 'msa': unknown level 'Bogus'"),
+]
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+@pytest.mark.parametrize(
+    "field, value, message", _MAP_FAULTS, ids=["text-eight", "text-true", "text-minus-1",
+                                               "level-alias-bogus"]
+)
+def test_ingest_column_map_fault_exits_2_at_load(
+    hit_file, tmp_path, capsys, field, value, message, lenient
+):
+    raw = json.loads((DATA_DIR / "aoc_column_map.json").read_text(encoding="utf-8"))
+    (raw if field == "level_aliases" else raw["sentences"][0])[field] = value
+    cmap = tmp_path / "m.json"
+    cmap.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "rows.tsv"
+    argv = ["ingest", hit_file, "--column-map", cmap, "-o", out]
+    assert run(argv + (["--lenient"] if lenient else [])) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ingest_structural_error_strict_vs_lenient(tmp_path, capsys):
@@ -256,6 +286,18 @@ def test_dprime_command(tmp_path, capsys):
     assert abs(float(out) - 5.657) < 1e-3
 
 
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1e999"])
+def test_dprime_rejects_non_finite_score(tmp_path, capsys, score):
+    a = tmp_path / "a.tsv"
+    b = tmp_path / "b.tsv"
+    a.write_text("0.8\n%s\n" % score, encoding="utf-8")
+    b.write_text("0.0\n0.2\n", encoding="utf-8")
+    assert run(["dprime", "--a", a, "--b", b, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert "line 2 has non-finite score %r" % score in captured.err
+    assert captured.out == ""
+
+
 def test_score_file_ids_count_data_lines(tmp_path):
     path = tmp_path / "scores.txt"
     path.write_text("# header\n0.1\n\n0.2\n0.3\n", encoding="utf-8")
@@ -296,7 +338,7 @@ def test_read_score_file_fuzz_raises_only_format_error(tmp_path):
             outcomes.add("error")
             continue
         outcomes.add("scores")
-        assert scores and all(isinstance(v, float) for v in scores.values())
+        assert scores and all(math.isfinite(v) for v in scores.values())
     assert outcomes == {"error", "scores"}
 
 
@@ -447,6 +489,24 @@ def test_external_scorer_non_utf8_output_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reply", ["nan", "inf", "-1e999"])
+def test_external_scorer_non_finite_output_exits_3(tmp_path, capsys, reply):
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("جملة\n", encoding="utf-8")
+    out = tmp_path / "scores.tsv"
+    code = run(
+        [
+            "score", "--estimator", "external",
+            "--scorer-cmd",
+            '%s -c "import sys; [print(%r) for _ in sys.stdin]"' % (sys.executable, reply),
+            "--sentences", sentences, "-o", out,
+        ]
+    )
+    assert code == 3
+    assert "line 1 is not a finite number: %r" % reply in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_score_json_and_stdout(tmp_path, capsys):

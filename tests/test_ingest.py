@@ -1,4 +1,5 @@
 import io
+import json
 import random
 import re
 
@@ -8,6 +9,7 @@ from aldikit import ingest
 from aldikit.errors import FormatError
 
 from conftest import (
+    DATA_DIR,
     DEFAULT_CELLS,
     cells_with,
     make_hit_line,
@@ -90,9 +92,11 @@ def test_control_count_enforced(tmp_path, default_cmap):
 
 def test_level_aliases():
     aliases = dict(ingest.LEVEL_ALIASES)
-    assert ingest.parse_level("mostly dialectal", aliases) == "Most"
-    assert ingest.parse_level("MSA", aliases) == "MSA"
-    assert ingest.parse_level("", aliases) == "Missing"
+    assert ingest.parse_label("mostly dialectal", aliases, "level label", 1) == "Most"
+    assert ingest.parse_label("MSA", aliases, "level label", 1) == "MSA"
+    assert ingest.parse_label("", aliases, "level label", 1) == "Missing"
+    with pytest.raises(FormatError, match="unknown level label 'WAT' at line 4"):
+        ingest.parse_label("WAT", aliases, "level label", 4)
 
 
 def test_msa_rows_drop_dialect(tmp_path, default_cmap):
@@ -245,3 +249,384 @@ def test_read_rows_malformed_lines_raise_format_error(tmp_path):
         )
         with pytest.raises(FormatError, match="line 3"):
             list(ingest.read_rows(path))
+
+
+# --- Column map resolved at load --------------------------------------------
+
+
+def _default_map() -> dict:
+    return json.loads((DATA_DIR / "aoc_column_map.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"text": "eight"}, "'text' of sentence block 0 has unusable reference 'eight'"),
+        ({"text": True}, "unusable reference True"),
+        ({"text": -1}, "unusable reference -1"),
+        ({"text": 8.0}, "unusable reference 8.0"),
+        ({"level": {"column": "9"}}, "unusable reference '9'"),
+        ({"level": {}}, "unusable reference None"),
+        ({"source": {"value": "Bogus"}}, "sentence block 0 has unknown source 'Bogus'"),
+        ({"source": None}, "sentence block 0 has unknown source ''"),
+        ({"level": {"value": "mostly?"}}, "unknown level label 'mostly?'"),
+        ({"dialect": {"value": "XYZ"}}, "unknown dialect label 'XYZ'"),
+        ({"kind": {"value": " control"}}, "unknown kind ' control'"),
+    ],
+    ids=["text-str", "text-bool", "text-negative", "text-float", "column-str",
+         "empty-ref", "source-const", "source-null", "level-const", "dialect-const",
+         "kind-const"],
+)
+def test_column_map_block_faults_raise_at_load(edit, message):
+    raw = _default_map()
+    raw["sentences"][0].update(edit)
+    with pytest.raises(FormatError, match=re.escape(message)):
+        ingest.ColumnMapConfig(raw)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"worker_id": True}, "field 'worker_id' has unusable reference True"),
+        ({"residence": "2"}, "field 'residence' has unusable reference '2'"),
+        ({"level_aliases": {"msa": "Bogus"}}, "level alias 'msa': unknown level"),
+        ({"level_aliases": {"x": "most"}}, "level alias 'x': unknown level 'most'"),
+    ],
+    ids=["worker-bool", "residence-str", "alias-bogus", "alias-lowercase"],
+)
+def test_column_map_top_level_faults_raise_at_load(edit, message):
+    raw = _default_map()
+    raw.update(edit)
+    with pytest.raises(FormatError, match=re.escape(message)):
+        ingest.ColumnMapConfig(raw)
+
+
+def test_column_map_resolves_references_once():
+    raw = _default_map()
+    raw["best_dialect"] = {"value": "GLF"}
+    del raw["residence"]
+    raw["sentences"][1]["article_id"] = {"column": 12, "value": 5}
+    raw["sentences"][2]["text"] = None
+    raw["level_aliases"] = {"Pure MSA": "MSA"}
+    cmap = ingest.ColumnMapConfig(raw)
+    assert cmap.annotator == (1, "", 3, "GLF")
+    assert cmap.blocks[0] == (5, 6, 7, 9, 10, 8)
+    assert cmap.blocks[1][1] == "5" and cmap.blocks[2][5] == ""
+    assert cmap.level_aliases["pure msa"] == "MSA"
+    assert cmap.min_columns == 77
+
+
+def test_column_map_unknown_keys_are_ignored(tmp_path):
+    raw = _default_map()
+    del raw["columns"]
+    raw["comment_id"] = 200
+    raw["sentences"][0]["note"] = {"column": 300}
+    cmap = ingest.ColumnMapConfig(raw)
+    assert cmap.min_columns == 77
+    path = tmp_path / "hits.tsv"
+    path.write_text(make_hit_line() + "\n", encoding="utf-8")
+    assert len(next(ingest.parse_hit_file(path, cmap))) == 12
+
+
+def test_column_map_unused_source_default_is_not_resolved():
+    # Every block states its own source, so the top-level default is never read.
+    raw = _default_map()
+    raw["source"] = "unused"
+    assert ingest.ColumnMapConfig(raw).blocks[0][0] == 5
+
+
+# --- Fuzz: mutated lines of the shipped 77-column layout ---------------------
+
+_BAD_TOKENS = ["WAT", "?", "msa!", "most?", "Bogus", "maybe", "ja", "x y", "—", "نعم"]
+# Offsets inside a sentence block (after the 5 annotator columns), per token.
+_BLOCK_OFFSETS = {"source": 0, "kind": 2, "level": 4, "dialect": 5}
+
+
+def _mutate(rng: random.Random, cells: list[str]) -> list[str]:
+    """A copy of ``cells`` that the shipped map must reject."""
+    cells = list(cells)
+    mutation = rng.choice(["width", "tab", "native", "kind-count", *_BLOCK_OFFSETS])
+    if mutation == "width":
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 8)):
+                del cells[rng.randrange(len(cells))]
+        else:
+            for _ in range(rng.randint(1, 8)):
+                cells.insert(rng.randrange(len(cells) + 1), rng.choice(_BAD_TOKENS))
+    elif mutation == "tab":
+        index = rng.randrange(len(cells))
+        cut = rng.randrange(len(cells[index]) + 1)
+        cells[index] = cells[index][:cut] + "\t" + cells[index][cut:]
+    elif mutation == "native":
+        cells[3] = rng.choice(_BAD_TOKENS)
+    elif mutation == "kind-count":
+        block = rng.randrange(1, 11)  # a comment block becomes a third control
+        cells[5 + 6 * block + 2] = rng.choice(["control", "CNTRL", " Control "])
+    else:
+        token = rng.choice(_BAD_TOKENS)
+        cells[5 + 6 * rng.randrange(12) + _BLOCK_OFFSETS[mutation]] = token
+    return cells
+
+
+def _random_cells(rng: random.Random) -> list[str]:
+    """Valid cells of one line in the shipped layout, spelled in random aliases."""
+    blocks = []
+    controls = {0, 11}
+    for i in range(12):
+        level = rng.choice(list(ingest.LEVEL_ALIASES))
+        dialect = rng.choice(list(ingest.DIALECT_ALIASES))
+        kind = rng.choice(["control", "cntrl"] if i in controls else ["comment", "cmnt"])
+        source = rng.choice(list(ingest.SOURCE_ALIASES))
+        spell = rng.choice([str, str.upper, lambda s: " %s " % s])
+        blocks.append((spell(source), "art%d" % rng.randrange(9), spell(kind),
+                       "نص %d" % rng.randrange(99), spell(level), spell(dialect)))
+    native = rng.choice(["yes", "No", "", "n/a", "1", "FALSE"])
+    return make_hit_line("h", "w%d" % rng.randrange(9), "JO", native, "LEV",
+                         cells=blocks).split("\t")
+
+
+def test_parse_hit_file_fuzz(tmp_path, default_cmap):
+    rng = random.Random(20231024)
+    for case in range(60):
+        lines = []
+        good_lines = []
+        for _ in range(rng.randint(1, 6)):
+            cells = _random_cells(rng)
+            if rng.random() < 0.4:
+                lines.append("\t".join(_mutate(rng, cells)))
+            else:
+                lines.append("\t".join(cells))
+                good_lines.append(lines[-1])
+        path = tmp_path / ("hits%d.tsv" % case)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        good = tmp_path / ("good%d.tsv" % case)
+        good.write_text("".join(line + "\n" for line in good_lines), encoding="utf-8")
+
+        log: list[str] = []
+        lenient = list(ingest.parse_hit_file(path, default_cmap, strict=False, error_log=log))
+        assert lenient == list(ingest.parse_hit_file(good, default_cmap))
+        assert len(log) == len(lines) - len(good_lines)
+        if log:
+            first_bad = 1 + next(
+                n for n, line in enumerate(lines) if line not in good_lines
+            )
+            with pytest.raises(FormatError, match="line %d\\b" % first_bad):
+                list(ingest.parse_hit_file(path, default_cmap))
+
+
+# --- Property: the parser against the old per-cell interpreter --------------
+
+
+def _oracle_cell(ref, cells, lineno, field):
+    if ref is None:
+        return ""
+    if isinstance(ref, dict):
+        if "value" in ref:
+            return str(ref["value"])
+        ref = ref.get("column")
+    if isinstance(ref, int):
+        try:
+            return cells[ref].strip()
+        except IndexError:
+            raise FormatError(
+                "line %d: column %d for %r is out of range" % (lineno, ref, field)
+            ) from None
+    raise FormatError("column map field %r has unusable reference %r" % (field, ref))
+
+
+def _oracle_label(token, aliases, what, lineno):
+    label = aliases.get(token.strip().lower())
+    if label is None:
+        raise FormatError("unknown %s %r at line %d" % (what, token, lineno))
+    return label
+
+
+def _oracle_indices(node):
+    if isinstance(node, int) and not isinstance(node, bool):
+        yield node
+    elif isinstance(node, dict):
+        for key, sub in node.items():
+            if key not in ("value", "columns", "level_aliases"):
+                yield from _oracle_indices(sub)
+    elif isinstance(node, list):
+        for sub in node:
+            yield from _oracle_indices(sub)
+
+
+def oracle_parse_hit_line(cells, raw, lineno):
+    """The HIT line parser as it was: it reads the raw JSON map for every cell."""
+    columns = raw.get("columns")
+    if columns is not None and len(cells) != columns:
+        raise FormatError(
+            "line %d: expected %d columns, found %d" % (lineno, columns, len(cells))
+        )
+    min_columns = 1 + max(_oracle_indices(raw))
+    if len(cells) < min_columns:
+        raise FormatError(
+            "line %d: expected at least %d columns, found %d"
+            % (lineno, min_columns, len(cells))
+        )
+    level_aliases = dict(ingest.LEVEL_ALIASES)
+    level_aliases.update({k.lower(): v for k, v in raw.get("level_aliases", {}).items()})
+    worker_id = _oracle_cell(raw.get("worker_id"), cells, lineno, "worker_id")
+    if not worker_id:
+        raise FormatError("line %d: empty worker_id" % lineno)
+    residence = _oracle_cell(raw.get("residence"), cells, lineno, "residence") or None
+    native = ingest._parse_native(
+        _oracle_cell(raw.get("native_speaker"), cells, lineno, "native_speaker"), lineno
+    )
+    best = _oracle_cell(raw.get("best_dialect"), cells, lineno, "best_dialect") or None
+    rows = []
+    for i, block in enumerate(raw["sentences"]):
+        source = _oracle_label(
+            _oracle_cell(block.get("source", raw.get("source")), cells, lineno, "source"),
+            ingest.SOURCE_ALIASES, "source", lineno,
+        )
+        kind_token = _oracle_cell(block["kind"], cells, lineno, "kind").lower()
+        kind = ingest.KIND_ALIASES.get(kind_token)
+        if kind is None:
+            raise FormatError(
+                "line %d: sentence block %d has unknown kind %r" % (lineno, i, kind_token)
+            )
+        level = _oracle_label(
+            _oracle_cell(block["level"], cells, lineno, "level"),
+            level_aliases, "level label", lineno,
+        )
+        dialect = _oracle_label(
+            _oracle_cell(block.get("dialect"), cells, lineno, "dialect"),
+            ingest.DIALECT_ALIASES, "dialect label", lineno,
+        ) or None
+        if level == "MSA":
+            dialect = None
+        rows.append(ingest.AnnotationRow(
+            source, _oracle_cell(block.get("article_id"), cells, lineno, "article_id"),
+            kind, level, dialect, worker_id, residence, native, best,
+            _oracle_cell(block["text"], cells, lineno, "text"),
+        ))
+    controls = sum(1 for r in rows if r.kind == "control")
+    if controls != ingest.CONTROLS_PER_HIT:
+        raise FormatError(
+            "line %d: expected %d control cells, found %d"
+            % (lineno, ingest.CONTROLS_PER_HIT, controls)
+        )
+    return tuple(rows)
+
+
+# Valid and invalid tokens per field; the valid ones in several spellings.
+_FIELD_TOKENS = {
+    "source": ["AlGhad", "y7", " Riyadh ", "YOUM7"],
+    "kind": ["comment", "cmnt", "Comment"],
+    "level": ["MSA", "mostly dialectal", " little ", "", "Pure MSA", "NOTARABIC"],
+    "dialect": ["EGY", "gulf", "", "Unfamiliar", " lev "],
+    "native_speaker": ["yes", "N", "", "na", "TRUE"],
+    "worker_id": ["w1", " w2 "],
+    "residence": ["JO", "", " EG "],
+    "best_dialect": ["LEV", ""],
+    "article_id": ["a1", "", " a2 "],
+    "text": ["نص", " نص آخر ", ""],
+}
+_BAD_FIELD_TOKENS = {
+    "source": ["Bogus", ""],
+    "kind": ["cntrl?", "x"],
+    "level": ["WAT", "most?"],
+    "dialect": ["XYZ"],
+    "native_speaker": ["maybe"],
+    "worker_id": [""],
+}
+
+
+class _RandomMap:
+    """A random column map the old parser accepts, and lines to match it."""
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.width = rng.randint(77, 100)
+        self.free = list(range(self.width))
+        rng.shuffle(self.free)
+        self.columns: dict[int, str] = {}  # column -> field it holds
+        self.raw: dict = {}
+        for field in ("worker_id", "residence", "native_speaker", "best_dialect"):
+            if field == "worker_id" or rng.random() < 0.8:
+                self.raw[field] = self.ref(field)
+        self.raw["sentences"] = []
+        controls = rng.sample(range(12), 2)
+        positional = rng.random() < 0.5
+        default_source = rng.random() < 0.5
+        for i in range(12):
+            block = {}
+            for field in ("source", "article_id", "kind", "level", "dialect", "text"):
+                if field == "source" and default_source and rng.random() < 0.7:
+                    continue
+                if field in ("article_id", "dialect") and rng.random() < 0.2:
+                    continue
+                if field == "kind" and positional:
+                    kind = "control" if i in controls else "comment"
+                    block[field] = {"value": rng.choice([kind, kind.upper()])}
+                else:
+                    block[field] = self.ref(field, control=i in controls)
+            self.raw["sentences"].append(block)
+        if default_source:
+            self.raw["source"] = self.ref("source")
+            self.raw["sentences"][0].pop("source", None)
+        if rng.random() < 0.5:
+            self.raw["level_aliases"] = {"Pure MSA": "MSA", "Dialectal": "Most"}
+        if rng.random() < 0.5:
+            self.raw["columns"] = self.width
+
+    def ref(self, field, control=False):
+        rng = self.rng
+        if rng.random() < 0.25:
+            if field == "kind":
+                return {"value": "control" if control else "comment"}
+            # "Pure MSA" is a level only where the map declares it an alias.
+            return {"value": rng.choice(
+                [t for t in _FIELD_TOKENS[field] if t != "Pure MSA"]
+            )}
+        column = self.free.pop()
+        self.columns[column] = "control" if field == "kind" and control else field
+        return column if rng.random() < 0.5 else {"column": column}
+
+    def line(self, mutate: bool) -> list[str]:
+        rng = self.rng
+        cells = [rng.choice(["x", " ", "", "y "]) for _ in range(self.width)]
+        for column, field in self.columns.items():
+            if field == "control":
+                cells[column] = rng.choice(["control", "CNTRL", " control "])
+            else:
+                tokens = _FIELD_TOKENS[field]
+                if field == "level" and "level_aliases" not in self.raw:
+                    tokens = [t for t in tokens if t != "Pure MSA"]
+                cells[column] = rng.choice(tokens)
+        if mutate:  # truncate, add a cell or spoil a token; not always fatal
+            choice = rng.randrange(3)
+            if choice == 0:
+                del cells[rng.randrange(len(cells)):]
+            elif choice == 1 and self.columns:
+                column = rng.choice(list(self.columns))
+                field = self.columns[column]
+                field = "kind" if field == "control" else field
+                cells[column] = rng.choice(_BAD_FIELD_TOKENS.get(field, ["?"]))
+            else:
+                cells.append("extra")
+        return cells
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except FormatError as exc:
+        return "FormatError: %s" % exc
+
+
+def test_parser_matches_oracle_on_random_maps():
+    rng = random.Random(20231025)
+    outcomes = set()
+    for case in range(300):
+        random_map = _RandomMap(rng)
+        cmap = ingest.ColumnMapConfig(random_map.raw)
+        for lineno in range(1, 4):
+            cells = random_map.line(mutate=rng.random() < 0.4)
+            expected = _outcome(oracle_parse_hit_line, cells, random_map.raw, lineno)
+            assert _outcome(ingest._parse_hit_line, cells, cmap, lineno) == expected
+            outcomes.add(expected.split(":")[0] if isinstance(expected, str) else "rows")
+    assert outcomes == {"rows", "FormatError"}
