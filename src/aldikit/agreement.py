@@ -111,7 +111,7 @@ def level_agreement_items(
     labels: list[list[str]] = []
     values: list[list[float]] = []
     for group in groups:
-        levels = [a.level for a in group.annotations]
+        levels = group.levels
         if len(levels) != 3 or any(lv not in LEVEL_VALUES for lv in levels):
             continue
         labels.append(levels)

@@ -11,9 +11,11 @@ Pipeline stages, in order:
 4. assign article-exclusive train/dev/test splits (80/10/10 by comment
    count, per source, seeded shuffle) or replay a released assignment file.
 
-Scores are exact rationals internally and serialize at 6 decimal places
-(round half even). Output files list groups sorted by source, article and
-canonical text; a group's annotations keep their input order.
+Annotation rows are consumed as a stream: a :class:`CommentGroup` keeps only
+the level and dialect label of each of its annotations, and every later stage
+reads the groups. Scores are exact rationals internally and serialize at 6
+decimal places (round half even). Output files list groups sorted by source,
+article and canonical text; a group's labels keep their input order.
 """
 
 from __future__ import annotations
@@ -69,16 +71,25 @@ DISCARDED_HEADER = ("source", "article_id", "kind", "category", "levels", "text"
 ALDI_BINS = ("[0.00,0.25)", "[0.25,0.50)", "[0.50,0.75)", "[0.75,1.00]")
 
 
-@dataclass
+@dataclass(slots=True)
 class CommentGroup:
+    """One comment and its annotations: the table every stage after grouping reads.
+
+    ``levels[i]`` and ``dialects[i]`` are the labels of the group's i-th
+    annotation, in input order (``""`` for no dialect). The later stages fill
+    in ``aldi`` and ``split`` (kept groups) or ``category`` (discarded ones).
+    """
+
     source: str
     article_id: str
     canonical_text: str
     raw_text: str
     kind: str
-    annotations: list[AnnotationRow]
+    levels: list[str]
+    dialects: list[str]
     aldi: Fraction | None = None
     split: str | None = None
+    category: str | None = None
 
 
 def format_score(score: Fraction | float, places: int = 6) -> str:
@@ -94,49 +105,39 @@ def format_score(score: Fraction | float, places: int = 6) -> str:
 # Step: grouping
 
 
-def _group_key(row: AnnotationRow, key_mode: str) -> tuple[str, str, str]:
-    text_key = (
-        row.sentence_text if key_mode == "raw" else textnorm.normalize(row.sentence_text)
-    )
-    return (row.source, row.article_id, text_key)
-
-
 def group_comments(
     rows: Iterable[AnnotationRow], key_mode: str = "normalized"
 ) -> list[CommentGroup]:
     """Group annotations by (source, article_id, text key) in one pass.
 
+    ``rows`` is read once, so a generator streams straight into the groups.
     Returned groups are ordered by first appearance. A group's
     ``canonical_text`` is the normalized text of its first row under either
     key mode, and its kind is "comment" once any of its rows is a comment.
     """
     if key_mode not in ("normalized", "raw"):
         raise FormatError("unknown grouping key mode %r" % key_mode)
+    raw = key_mode == "raw"
     groups: dict[tuple[str, str, str], CommentGroup] = {}
     for row in rows:
-        key = _group_key(row, key_mode)
+        text = row.sentence_text
+        key = (row.source, row.article_id, text if raw else textnorm.normalize(text))
         group = groups.get(key)
         if group is None:
+            canonical = textnorm.normalize(text) if raw else key[2]
             group = groups[key] = CommentGroup(
-                source=row.source,
-                article_id=row.article_id,
-                canonical_text=(
-                    key[2]
-                    if key_mode == "normalized"
-                    else textnorm.normalize(row.sentence_text)
-                ),
-                raw_text=row.sentence_text,
-                kind=row.kind,
-                annotations=[],
+                row.source, row.article_id, canonical, text, row.kind, [], []
             )
         elif row.kind == "comment" and group.kind == "control":
             group.kind = "comment"
-        group.annotations.append(row)
+        group.levels.append(row.level)
+        group.dialects.append(row.dialect or "")
     return list(groups.values())
 
 
-def count_distinct_keys(rows: Iterable[AnnotationRow], key_mode: str) -> int:
-    return len({_group_key(row, key_mode) for row in rows})
+def count_distinct_keys(groups: Iterable[CommentGroup]) -> int:
+    """Distinct (source, article_id, normalized text) keys among ``groups``."""
+    return len({(g.source, g.article_id, g.canonical_text) for g in groups})
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +151,12 @@ def discard_junk(
     kept: list[CommentGroup] = []
     discarded: list[CommentGroup] = []
     for group in groups:
-        total = len(group.annotations)
+        total = len(group.levels)
         if total == 0:
             raise AldiError(
                 "group (%s, %s) has no annotations" % (group.source, group.article_id)
             )
-        junk = sum(1 for a in group.annotations if a.level in UNUSABLE_LEVELS)
+        junk = sum(1 for level in group.levels if level in UNUSABLE_LEVELS)
         if 3 * junk >= 2 * total:
             discarded.append(group)
         else:
@@ -196,7 +197,7 @@ def categorize_discard(group: CommentGroup) -> str:
 
 def aggregate(group: CommentGroup) -> Fraction:
     """Mean dialectness of the usable (ordinal) annotations, in [0, 1]."""
-    values = [LEVEL_VALUES[a.level] for a in group.annotations if a.level in LEVEL_VALUES]
+    values = [LEVEL_VALUES[level] for level in group.levels if level in LEVEL_VALUES]
     if not values:
         raise AldiError(
             "group (%s, %s) has no usable level annotations"
@@ -309,27 +310,22 @@ def _aldi_bin(score: Fraction) -> int:
 def corpus_stats(
     groups: Sequence[CommentGroup],
     discarded: Sequence[CommentGroup] = (),
-    discard_categories: dict[int, str] | None = None,
 ) -> dict:
     """Annotation- and group-level statistics of the built dataset."""
     by_kind_level: dict[str, Counter] = {"comment": Counter(), "control": Counter()}
     dialect_level: dict[str, Counter] = {}
     everything = list(groups) + list(discarded)
     for group in everything:
-        for ann in group.annotations:
-            by_kind_level[group.kind][ann.level] += 1
-            if ann.dialect:
-                dialect_level.setdefault(ann.dialect, Counter())[ann.level] += 1
+        by_kind_level[group.kind].update(group.levels)
+        for level, dialect in zip(group.levels, group.dialects):
+            if dialect:
+                dialect_level.setdefault(dialect, Counter())[level] += 1
 
     annotations: dict = {}
-    totals = {kind: sum(c.values()) for kind, c in by_kind_level.items()}
-    all_counter: Counter = Counter()
-    for counter in by_kind_level.values():
-        all_counter.update(counter)
     for kind, counter in (
         ("comment", by_kind_level["comment"]),
         ("control", by_kind_level["control"]),
-        ("all", all_counter),
+        ("all", by_kind_level["comment"] + by_kind_level["control"]),
     ):
         total = sum(counter.values())
         annotations[kind] = {
@@ -355,16 +351,11 @@ def corpus_stats(
                 group.source, Counter()
             )[group.kind] += 1
 
-    ws_counts = []
-    token_counts = []
-    for group in groups:
-        ws, tok = textnorm.word_count(group.canonical_text)
-        ws_counts.append(ws)
-        token_counts.append(tok)
+    lengths = [textnorm.word_count(g.canonical_text) for g in groups]
+    ws_total = sum(ws for ws, _ in lengths)
+    token_total = sum(tok for _, tok in lengths)
 
-    category_counter: Counter = Counter()
-    if discard_categories:
-        category_counter.update(discard_categories.values())
+    category_counter = Counter(g.category for g in discarded)
 
     stats = {
         "annotations": annotations,
@@ -378,17 +369,15 @@ def corpus_stats(
             "discarded": len(discarded),
             "total": len(groups) + len(discarded),
             "more_than_three_annotations": sum(
-                1 for g in everything if len(g.annotations) > 3
+                1 for g in everything if len(g.levels) > 3
             ),
         },
         "discard_categories": {
             cat: category_counter.get(cat, 0) for cat in DISCARD_CATEGORIES
         },
         "comment_length": {
-            "whitespace_mean": (sum(ws_counts) / len(ws_counts)) if ws_counts else 0.0,
-            "token_mean": (sum(token_counts) / len(token_counts))
-            if token_counts
-            else 0.0,
+            "whitespace_mean": ws_total / len(lengths) if lengths else 0.0,
+            "token_mean": token_total / len(lengths) if lengths else 0.0,
         },
         "splits": {
             split: {
@@ -479,8 +468,8 @@ def dataset_lines(groups: Sequence[CommentGroup]) -> Iterable[str]:
     yield "\t".join(DATASET_HEADER)
     ordered = sorted(groups, key=lambda g: (g.source, g.article_id, g.canonical_text))
     for g in ordered:
-        levels = _spread([a.level for a in g.annotations])
-        dialects = _spread([a.dialect or "" for a in g.annotations])
+        levels = _spread(g.levels)
+        dialects = _spread(g.dialects)
         yield "\t".join(
             (
                 g.source,
@@ -495,9 +484,7 @@ def dataset_lines(groups: Sequence[CommentGroup]) -> Iterable[str]:
         )
 
 
-def discarded_lines(
-    discarded: Sequence[CommentGroup], categories: dict[int, str]
-) -> Iterable[str]:
+def discarded_lines(discarded: Sequence[CommentGroup]) -> Iterable[str]:
     yield "\t".join(DISCARDED_HEADER)
     ordered = sorted(
         discarded, key=lambda g: (g.source, g.article_id, g.canonical_text)
@@ -508,8 +495,8 @@ def discarded_lines(
                 g.source,
                 g.article_id,
                 g.kind,
-                categories[id(g)],
-                ";".join(a.level for a in g.annotations),
+                g.category,
+                ";".join(g.levels),
                 g.raw_text.replace("\t", " ").replace("\n", " "),
             )
         )

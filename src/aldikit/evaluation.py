@@ -1,4 +1,4 @@
-"""Score-quality evaluation: RMSE, discrimination, distributions, filters.
+"""Score-quality evaluation: RMSE, discrimination, contrastive feature pairs.
 
 Everything here is pure over immutable inputs. The discrimination measure
 divides the absolute mean difference of two score populations by their
@@ -10,12 +10,10 @@ anywhere authoritative.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from . import textnorm
 from .errors import AldiError, FormatError
 
 
@@ -77,104 +75,6 @@ def d_prime(
             return 0.0
         raise AldiError("d_prime undefined: zero variance with distinct means")
     return abs(mean_a - mean_b) / math.sqrt(pooled)
-
-
-@dataclass(frozen=True)
-class DistributionSummary:
-    median: float
-    q1: float
-    q3: float
-    whisker_low: float
-    whisker_high: float
-    outliers: tuple[float, ...]
-    n: int
-
-
-def _median(sorted_values: Sequence[float]) -> float:
-    n = len(sorted_values)
-    mid = n // 2
-    if n % 2:
-        return sorted_values[mid]
-    return (sorted_values[mid - 1] + sorted_values[mid]) / 2.0
-
-
-def summarize_distribution(scores: Sequence[float]) -> DistributionSummary:
-    """Box-plot summary: median-exclusive quartiles, 1.5*IQR whiskers.
-
-    Quartiles via the median-of-halves rule, the median element excluded
-    from both halves when the count is odd. Whiskers are the most extreme
-    observed values within [q1 - 1.5*IQR, q3 + 1.5*IQR]; points beyond are
-    outliers.
-    """
-    if not scores:
-        raise FormatError("cannot summarize an empty score list")
-    values = sorted(float(s) for s in scores)
-    n = len(values)
-    median = _median(values)
-    half = n // 2
-    if half == 0:
-        q1 = q3 = median
-    else:
-        q1 = _median(values[:half])
-        q3 = _median(values[n - half :])
-    iqr = q3 - q1
-    low_bound = q1 - 1.5 * iqr
-    high_bound = q3 + 1.5 * iqr
-    inside = [v for v in values if low_bound <= v <= high_bound]
-    outliers = tuple(v for v in values if v < low_bound or v > high_bound)
-    # quartiles are interpolated, so at least one observation is always inside
-    whisker_low = inside[0]
-    whisker_high = inside[-1]
-    return DistributionSummary(median, q1, q3, whisker_low, whisker_high, outliers, n)
-
-
-# ---------------------------------------------------------------------------
-# Parallel-corpus filtering
-
-
-@dataclass(frozen=True)
-class Dial2MsaRecord:
-    dialect: str
-    dialect_tweet: str
-    msa_translations: tuple[str, ...]
-    confidence: float | None
-
-
-def filter_dial2msa(
-    records: Sequence[Dial2MsaRecord],
-    distinctive_terms: dict[str, Sequence[str]],
-    max_confidence: float = 1.0,
-) -> list[Dial2MsaRecord]:
-    """Keep only perfectly validated records with clean MSA translations.
-
-    A record survives iff its confidence equals the maximum possible value
-    and no configured distinctive dialectal term (for its dialect) occurs
-    among the normalized tokens of any of its MSA translations. Records
-    without a confidence are skipped with a warning.
-    """
-    term_sets = {
-        dialect: {textnorm.normalize(t) for t in terms}
-        for dialect, terms in distinctive_terms.items()
-    }
-    kept = []
-    for record in records:
-        if record.confidence is None:
-            warnings.warn(
-                "record without confidence skipped: %r" % record.dialect_tweet[:40],
-                stacklevel=2,
-            )
-            continue
-        if record.confidence != max_confidence:
-            continue
-        terms = term_sets.get(record.dialect, set())
-        dirty = any(
-            token in terms
-            for translation in record.msa_translations
-            for token in textnorm.tokenize(textnorm.normalize(translation))
-        )
-        if not dirty:
-            kept.append(record)
-    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ default map for the known public release ships in ``aldikit/data``.
 
 Each parsed line yields its 12 :class:`AnnotationRow` records, one per
 (sentence, annotator) pair, each carrying the worker's fields. These flat
-rows are the table every other module consumes, in files and in memory.
+rows are the file every later command reads. ``build-dataset`` and
+``agreement`` stream them into comment groups that keep only each
+annotation's level and dialect labels, never the rows themselves.
 """
 
 from __future__ import annotations
@@ -127,31 +129,41 @@ class ColumnMapConfig:
     The map is resolved and checked once, at load: each field becomes a column
     index or a constant string (``""`` if absent; a block without ``source``
     takes the top-level one). A bad reference, a ``level_aliases`` target
-    outside ``LEVELS`` or a constant that its alias table rejects raises
-    FormatError here, not on every line. Unknown keys are ignored.
+    outside ``LEVELS``, a constant that its alias table rejects, a missing or
+    empty ``worker_id``, a ``columns`` below the largest index, or a JSON value
+    of the wrong type raises FormatError here, not on every line. Unknown keys
+    are ignored.
     """
 
     def __init__(self, raw: dict):
+        if not isinstance(raw, dict):
+            raise FormatError("column map must be a JSON object, got %r" % (raw,))
         sentences = raw.get("sentences")
         if not isinstance(sentences, list) or len(sentences) != SENTENCES_PER_HIT:
             raise FormatError(
                 "column map must declare exactly %d sentence blocks, got %s"
-                % (SENTENCES_PER_HIT, "none" if sentences is None else len(sentences))
+                % (SENTENCES_PER_HIT,
+                   len(sentences) if isinstance(sentences, list) else "none")
             )
-        if "worker_id" not in raw:
-            raise FormatError("column map is missing the 'worker_id' field")
+        aliases = raw.get("level_aliases", {})
+        if not isinstance(aliases, dict):
+            raise FormatError("column map 'level_aliases' must be an object, got %r"
+                              % (aliases,))
         self.level_aliases = dict(LEVEL_ALIASES)
-        for alias, level in raw.get("level_aliases", {}).items():
+        for alias, level in aliases.items():
             if level not in LEVELS:
                 raise FormatError("level alias %r: unknown level %r" % (alias, level))
             self.level_aliases[alias.lower()] = level
-        self.columns: int | None = raw.get("columns")
         self.annotator = tuple(
             _resolve(raw.get(f), repr(f))
             for f in ("worker_id", "residence", "native_speaker", "best_dialect")
         )
+        if self.annotator[0] == "":
+            raise FormatError("column map field 'worker_id' is missing or empty")
         self.blocks = []
         for i, block in enumerate(sentences):
+            if not isinstance(block, dict):
+                raise FormatError("sentence block %d must be an object, got %r" % (i, block))
             for field in ("text", "level", "kind"):
                 if field not in block:
                     raise FormatError(
@@ -181,13 +193,21 @@ class ColumnMapConfig:
             self.blocks.append(refs)
         indices = [r for r in self.annotator + sum(self.blocks, ()) if isinstance(r, int)]
         self.min_columns = 1 + max(indices, default=-1)
+        self.columns: int | None = raw.get("columns")
+        if self.columns is not None and (
+            type(self.columns) is not int or self.columns < self.min_columns
+        ):
+            raise FormatError(
+                "column map 'columns' must be an integer of at least %d, got %r"
+                % (self.min_columns, self.columns)
+            )
 
     @classmethod
     def load(cls, path: str | Path) -> "ColumnMapConfig":
         with open(path, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
                 raise FormatError("invalid column map %s: %s" % (path, exc)) from exc
         return cls(raw)
 
@@ -338,10 +358,28 @@ def write_rows(rows: Iterable[AnnotationRow], fh: TextIO) -> int:
 
 
 _NATIVE_CELLS = {"yes": True, "no": False, "": None}
+# One lookup per cell both checks it and returns the module's own label object
+# (or the parsed value), so rows held by a caller share their label strings.
+_LEVEL_CELLS, _KIND_CELLS, _SOURCE_CELLS = (
+    dict(zip(labels, labels)) for labels in (LEVELS, KINDS, SOURCES)
+)
+_DIALECT_CELLS = {"": None, **dict(zip(DIALECTS, DIALECTS))}
+# Checked in this order, so a line with several bad cells names the first.
+_CELL_CHECKS = (
+    (3, "level", _LEVEL_CELLS),
+    (2, "kind", _KIND_CELLS),
+    (0, "source", _SOURCE_CELLS),
+    (4, "dialect", _DIALECT_CELLS),
+    (7, "native_speaker", _NATIVE_CELLS),
+)
 
 
 def read_rows(path: str | Path) -> Iterator[AnnotationRow]:
-    """Read an annotation-row TSV produced by :func:`write_rows`."""
+    """Read an annotation-row TSV produced by :func:`write_rows`.
+
+    Label cells come back as the ``LEVELS``/``KINDS``/``SOURCES``/``DIALECTS``
+    string objects themselves, not as fresh copies.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header.split("\t") != list(ROWS_HEADER):
@@ -358,35 +396,17 @@ def read_rows(path: str | Path) -> Iterator[AnnotationRow]:
                 )
             (source, article_id, kind, level, dialect, worker, residence,
              native, best, text) = cells
-            if level not in LEVELS:
-                raise FormatError(
-                    "%s: line %d has unknown level %r" % (path, lineno, level)
+            try:
+                row = AnnotationRow(
+                    _SOURCE_CELLS[source], article_id, _KIND_CELLS[kind],
+                    _LEVEL_CELLS[level], _DIALECT_CELLS[dialect], worker,
+                    residence or None, _NATIVE_CELLS[native], best or None, text,
                 )
-            if kind not in KINDS:
-                raise FormatError(
-                    "%s: line %d has unknown kind %r" % (path, lineno, kind)
+            except KeyError:
+                what, cell = next(
+                    (what, cells[i]) for i, what, table in _CELL_CHECKS if cells[i] not in table
                 )
-            if source not in SOURCES:
                 raise FormatError(
-                    "%s: line %d has unknown source %r" % (path, lineno, source)
-                )
-            if dialect and dialect not in DIALECTS:
-                raise FormatError(
-                    "%s: line %d has unknown dialect %r" % (path, lineno, dialect)
-                )
-            if native not in _NATIVE_CELLS:
-                raise FormatError(
-                    "%s: line %d has unknown native_speaker %r" % (path, lineno, native)
-                )
-            yield AnnotationRow(
-                source,
-                article_id,
-                kind,
-                level,
-                dialect or None,
-                worker,
-                residence or None,
-                _NATIVE_CELLS[native],
-                best or None,
-                text,
-            )
+                    "%s: line %d has unknown %s %r" % (path, lineno, what, cell)
+                ) from None
+            yield row

@@ -72,34 +72,40 @@ def run_build_dataset(
 ) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = list(ingest_mod.read_rows(rows_path))
-    if not rows:
-        raise FormatError("%s contains no annotation rows" % rows_path)
+    raw_keys: set[tuple[str, str, str]] = set()
 
-    groups = dataset_mod.group_comments(rows, key_mode=key_mode)
-    other_key = "raw" if key_mode == "normalized" else "normalized"
-    other_key_count = dataset_mod.count_distinct_keys(rows, other_key)
-    distinct_keys = {key_mode: len(groups), other_key: other_key_count}
+    def rows():
+        for row in ingest_mod.read_rows(rows_path):
+            raw_keys.add((row.source, row.article_id, row.sentence_text))
+            yield row
+
+    groups = dataset_mod.group_comments(rows(), key_mode=key_mode)
+    if not groups:
+        raise FormatError("%s contains no annotation rows" % rows_path)
+    distinct_keys = {
+        "normalized": dataset_mod.count_distinct_keys(groups),
+        "raw": len(raw_keys),
+    }
+    del raw_keys  # freed before the later stages allocate
 
     kept, discarded = dataset_mod.discard_junk(groups)
     for group in kept:
         group.aldi = dataset_mod.aggregate(group)
-    categories = {id(g): dataset_mod.categorize_discard(g) for g in discarded}
+    for group in discarded:
+        group.category = dataset_mod.categorize_discard(group)
 
     assignment = (
         dataset_mod.load_assignment(assignment_path) if assignment_path else None
     )
     dataset_mod.make_splits(kept, seed, assignment)
 
-    stats = dataset_mod.corpus_stats(kept, discarded, categories)
+    stats = dataset_mod.corpus_stats(kept, discarded)
     stats["distinct_keys"] = distinct_keys
     stats["key_mode"] = key_mode
     stats["seed"] = seed
 
     _write_lines(out_dir / "dataset.tsv", dataset_mod.dataset_lines(kept))
-    _write_lines(
-        out_dir / "discarded.tsv", dataset_mod.discarded_lines(discarded, categories)
-    )
+    _write_lines(out_dir / "discarded.tsv", dataset_mod.discarded_lines(discarded))
     _write_lines(out_dir / "split_assignment.tsv", dataset_mod.assignment_lines(kept))
     with open(out_dir / "stats.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(stats, fh, ensure_ascii=False, sort_keys=True, indent=2)
@@ -129,8 +135,7 @@ def _write_lines(path: Path, lines) -> None:
 
 
 def run_agreement(rows_path: str | Path) -> dict:
-    rows = list(ingest_mod.read_rows(rows_path))
-    groups = dataset_mod.group_comments(rows)
+    groups = dataset_mod.group_comments(ingest_mod.read_rows(rows_path))
     labels, values = agreement_mod.level_agreement_items(groups)
     if not labels:
         raise FormatError("no groups with exactly 3 usable annotations")

@@ -70,7 +70,8 @@ def make_group(levels):
         canonical_text="نص",
         raw_text="نص",
         kind="comment",
-        annotations=[make_row(level=lv) for lv in levels],
+        levels=list(levels),
+        dialects=[""] * len(levels),
     )
 
 

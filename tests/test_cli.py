@@ -50,28 +50,51 @@ def test_ingest_bad_column_map_exits_2(hit_file, tmp_path, capsys):
     assert "sentence blocks" in capsys.readouterr().err
 
 
-# Column-map faults that a line-by-line reading of the map let through or
-# turned into one skipped line per input line.
+def _block0(**fields):
+    def edit(raw):
+        raw["sentences"][0].update(fields)
+        return raw
+    return edit
+
+
+def _top(**fields):
+    return lambda raw: {**raw, **fields}
+
+
+# Column-map faults that a line-by-line reading of the map let through, turned
+# into one skipped line per input line, or crashed on with a traceback.
 _MAP_FAULTS = [
-    ("text", "eight", "'text' of sentence block 0 has unusable reference 'eight'"),
-    ("text", True, "'text' of sentence block 0 has unusable reference True"),
-    ("text", -1, "'text' of sentence block 0 has unusable reference -1"),
-    ("level_aliases", {"msa": "Bogus"}, "level alias 'msa': unknown level 'Bogus'"),
+    pytest.param(_block0(text="eight"),
+                 "'text' of sentence block 0 has unusable reference 'eight'",
+                 id="text-eight"),
+    pytest.param(_block0(text=True),
+                 "'text' of sentence block 0 has unusable reference True", id="text-true"),
+    pytest.param(_block0(text=-1),
+                 "'text' of sentence block 0 has unusable reference -1", id="text-minus-1"),
+    pytest.param(_top(level_aliases={"msa": "Bogus"}),
+                 "level alias 'msa': unknown level 'Bogus'", id="level-alias-bogus"),
+    pytest.param(_top(columns="77"),
+                 "'columns' must be an integer of at least 77, got '77'", id="columns-str"),
+    pytest.param(_top(columns=True),
+                 "'columns' must be an integer of at least 77, got True", id="columns-true"),
+    pytest.param(_top(level_aliases=["msa"]),
+                 "'level_aliases' must be an object, got ['msa']", id="level-aliases-list"),
+    pytest.param(lambda raw: {**raw, "sentences": [7] + raw["sentences"][1:]},
+                 "sentence block 0 must be an object, got 7", id="block-int"),
+    pytest.param(lambda raw: [raw], "column map must be a JSON object", id="map-list"),
+    pytest.param(_top(worker_id={"value": ""}),
+                 "field 'worker_id' is missing or empty", id="worker-empty"),
 ]
 
 
 @pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
-@pytest.mark.parametrize(
-    "field, value, message", _MAP_FAULTS, ids=["text-eight", "text-true", "text-minus-1",
-                                               "level-alias-bogus"]
-)
+@pytest.mark.parametrize("edit, message", _MAP_FAULTS)
 def test_ingest_column_map_fault_exits_2_at_load(
-    hit_file, tmp_path, capsys, field, value, message, lenient
+    hit_file, tmp_path, capsys, edit, message, lenient
 ):
     raw = json.loads((DATA_DIR / "aoc_column_map.json").read_text(encoding="utf-8"))
-    (raw if field == "level_aliases" else raw["sentences"][0])[field] = value
     cmap = tmp_path / "m.json"
-    cmap.write_text(json.dumps(raw), encoding="utf-8")
+    cmap.write_text(json.dumps(edit(raw)), encoding="utf-8")
     out = tmp_path / "rows.tsv"
     argv = ["ingest", hit_file, "--column-map", cmap, "-o", out]
     assert run(argv + (["--lenient"] if lenient else [])) == 2
@@ -129,6 +152,33 @@ def test_build_dataset_outputs(tmp_path, capsys):
     assert stats["groups"]["discarded"] == 1
     discarded = (out_dir / "discarded.tsv").read_text(encoding="utf-8").splitlines()
     assert discarded[1].split("\t")[3] == "Symbols"
+
+
+@pytest.mark.parametrize("key_mode", ["normalized", "raw"])
+def test_build_dataset_counts_distinct_keys_of_both_modes(tmp_path, key_mode):
+    texts = [  # (article, text): 6 distinct raw keys, 4 normalized ones
+        ("art1", "كتب"), ("art1", "كتب"), ("art1", "كتَب"), ("art1", "ارض"),
+        ("art2", "كتب"), ("art2", "كُتُب"), ("art3", "نص"),
+    ]
+    rows = [
+        make_row(article_id=article, text=text, worker="w%d" % w)
+        for article, text in texts
+        for w in range(3)
+    ]
+    out_dir = tmp_path / "out"
+    argv = ["build-dataset", write_rows_file(tmp_path, rows), "--key", key_mode]
+    assert run(argv + ["-o", out_dir]) == 0
+    stats = json.loads((out_dir / "stats.json").read_text(encoding="utf-8"))
+    assert stats["distinct_keys"] == {"normalized": 4, "raw": 6}
+    assert stats["groups"]["total"] == {"normalized": 4, "raw": 6}[key_mode]
+    text = (out_dir / "stats.txt").read_text(encoding="utf-8")
+    assert "Distinct keys: 4 normalized, 6 raw" in text
+
+
+def test_build_dataset_header_only_rows_exits_2(tmp_path, capsys):
+    rows_file = write_rows_file(tmp_path, [])
+    assert run(["build-dataset", rows_file, "-o", tmp_path / "out"]) == 2
+    assert "contains no annotation rows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

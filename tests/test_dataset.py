@@ -15,6 +15,7 @@ from aldikit.dataset import (
     make_splits,
 )
 from aldikit.errors import AldiError, FormatError
+from aldikit.textnorm import normalize
 
 from conftest import make_row
 
@@ -26,9 +27,8 @@ def make_group(levels, kind="comment", source="AlGhad", article="a1", text="نص
         canonical_text=text,
         raw_text=text,
         kind=kind,
-        annotations=[
-            make_row(level=lv, worker="w%d" % i) for i, lv in enumerate(levels)
-        ],
+        levels=list(levels),
+        dialects=[""] * len(levels),
     )
 
 
@@ -42,7 +42,8 @@ def test_identical_comments_merge():
     ] + [make_row(text="نفس النص", worker="w%d" % i, level="Most") for i in range(3)]
     groups = group_comments(rows)
     assert len(groups) == 1
-    assert len(groups[0].annotations) == 6
+    assert groups[0].levels == ["MSA"] * 3 + ["Most"] * 3
+    assert groups[0].dialects == [""] * 6
 
 
 def test_same_text_different_articles_stay_apart():
@@ -61,12 +62,39 @@ def test_normalized_key_merges_diacritic_variants():
     rows.append(make_row(text="ارض", worker="w2"))
     normalized = group_comments(rows, key_mode="normalized")
     assert [g.raw_text for g in normalized] == ["كتب", "ارض"]
-    assert [len(g.annotations) for g in normalized] == [2, 1]
+    assert [len(g.levels) for g in normalized] == [2, 1]
     raw = group_comments(rows, key_mode="raw")
     assert [g.raw_text for g in raw] == ["كتب", "كتَب", "ارض"]
     assert [g.canonical_text for g in raw] == ["كتب", "كتب", "ارض"]
-    assert count_distinct_keys(rows, "normalized") == 2
-    assert count_distinct_keys(rows, "raw") == 3
+    # the normalized key count, from the groups of either key mode
+    assert count_distinct_keys(normalized) == count_distinct_keys(raw) == 2
+
+
+def test_group_comments_streams_a_one_shot_generator():
+    rng = random.Random(8)
+    texts = ["كتب", "كتَب", "ارض", "أرض"]
+    rows = [
+        make_row(
+            article_id=rng.choice(["a1", "a2"]),
+            text=rng.choice(texts),
+            kind=rng.choice(["comment", "control"]),
+            level=rng.choice(["MSA", "Most", "Missing"]),
+            dialect=rng.choice([None, "EGY"]),
+            worker="w%d" % i,
+        )
+        for i in range(60)
+    ]
+    for key_mode in ("normalized", "raw"):
+        assert group_comments(iter(rows), key_mode) == group_comments(rows, key_mode)
+    # each group holds its rows' labels in input order, and nothing else
+    for g in group_comments(r for r in rows):
+        members = [
+            r for r in rows
+            if (r.article_id, normalize(r.sentence_text))
+            == (g.article_id, g.canonical_text)
+        ]
+        assert g.levels == [r.level for r in members]
+        assert g.dialects == [r.dialect or "" for r in members]
 
 
 # ---------------------------------------------------------------------------

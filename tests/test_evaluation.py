@@ -1,6 +1,5 @@
 import math
 import random
-import warnings
 from pathlib import Path
 
 import pytest
@@ -9,16 +8,13 @@ from aldikit.errors import AldiError, FormatError
 from aldikit.estimators import BinaryDiEstimator, LexiconEstimator, load_lexicon
 from aldikit.evaluation import (
     ContrastivePair,
-    Dial2MsaRecord,
     ScoredPair,
     contrastive_matrix,
     d_prime,
-    filter_dial2msa,
     read_pairs_file,
     render_matrix_tsv,
     rmse,
     rmse_report,
-    summarize_distribution,
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "aldikit" / "data"
@@ -127,125 +123,6 @@ def test_dprime_population_variant():
     sample = d_prime([0.8, 1.0], [0.0, 0.2], sample_variance=True)
     population = d_prime([0.8, 1.0], [0.0, 0.2], sample_variance=False)
     assert population == pytest.approx(sample * math.sqrt(2), rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# distribution summary
-
-
-def oracle_quartiles(values):
-    """Median-of-halves with the median excluded on odd counts."""
-    data = sorted(values)
-    n = len(data)
-
-    def med(chunk):
-        k = len(chunk)
-        mid = k // 2
-        return chunk[mid] if k % 2 else (chunk[mid - 1] + chunk[mid]) / 2
-
-    if n == 1:
-        return data[0], data[0], data[0]
-    half = n // 2
-    return med(data[:half]), med(data), med(data[n - half:])
-
-
-def test_summary_single_value():
-    summary = summarize_distribution([0.4])
-    assert (summary.q1, summary.median, summary.q3) == (0.4, 0.4, 0.4)
-    assert (summary.whisker_low, summary.whisker_high) == (0.4, 0.4)
-    assert summary.outliers == ()
-    assert summary.n == 1
-
-
-def test_summary_four_point_set_matches_oracle():
-    values = [0, 0, 0, 1]
-    q1, med, q3 = oracle_quartiles(values)
-    summary = summarize_distribution(values)
-    assert (summary.q1, summary.median, summary.q3) == (q1, med, q3)
-    iqr = q3 - q1
-    expected_outliers = tuple(
-        v for v in sorted(values) if v < q1 - 1.5 * iqr or v > q3 + 1.5 * iqr
-    )
-    assert summary.outliers == expected_outliers
-
-
-def test_summary_constant_list():
-    summary = summarize_distribution([0.7] * 9)
-    assert summary.q1 == summary.q3 == summary.median == 0.7
-    assert summary.outliers == ()
-
-
-def test_summary_quartiles_match_oracle_random():
-    rng = random.Random(55)
-    for _ in range(200):
-        values = [rng.random() for _ in range(rng.randrange(1, 30))]
-        q1, med, q3 = oracle_quartiles(values)
-        summary = summarize_distribution(values)
-        assert summary.q1 == pytest.approx(q1, abs=1e-12)
-        assert summary.median == pytest.approx(med, abs=1e-12)
-        assert summary.q3 == pytest.approx(q3, abs=1e-12)
-
-
-def test_summary_outliers_partition_input():
-    rng = random.Random(56)
-    for _ in range(100):
-        values = [rng.gauss(0, 1) for _ in range(rng.randrange(1, 40))]
-        summary = summarize_distribution(values)
-        inside = [
-            v for v in values if summary.whisker_low <= v <= summary.whisker_high
-        ]
-        assert sorted(inside + list(summary.outliers)) == sorted(values)
-        assert summary.q1 <= summary.median <= summary.q3
-
-
-def test_summary_detects_outlier():
-    values = [0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 5.0]
-    summary = summarize_distribution(values)
-    assert summary.outliers == (5.0,)
-    assert summary.whisker_high == 0.07
-
-
-# ---------------------------------------------------------------------------
-# DIAL2MSA filtering
-
-
-def record(confidence, translations=("ترجمة نظيفة",), dialect="EGY"):
-    return Dial2MsaRecord(
-        dialect=dialect,
-        dialect_tweet="تغريدة",
-        msa_translations=tuple(translations),
-        confidence=confidence,
-    )
-
-
-TERMS = {"EGY": ["دلوقتي", "بقى"]}
-
-
-def test_filter_keeps_perfect_clean():
-    assert filter_dial2msa([record(1.0)], TERMS) == [record(1.0)]
-
-
-def test_filter_drops_imperfect_confidence():
-    assert filter_dial2msa([record(0.8)], TERMS) == []
-
-
-def test_filter_drops_distinctive_term():
-    dirty = record(1.0, translations=("سوف أذهب دلوقتي",))
-    assert filter_dial2msa([dirty], TERMS) == []
-
-
-def test_filter_skips_missing_confidence_with_warning():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        kept = filter_dial2msa([record(None)], TERMS)
-    assert kept == []
-    assert any("confidence" in str(w.message) for w in caught)
-
-
-def test_filter_term_lists_are_per_dialect():
-    # the term is configured for EGY only, so an MGR record sails through
-    mgr = record(1.0, translations=("سوف أذهب دلوقتي",), dialect="MGR")
-    assert filter_dial2msa([mgr], TERMS) == [mgr]
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,30 @@ def test_read_rows_rejects_bad_header(tmp_path):
         list(ingest.read_rows(path))
 
 
+def test_read_rows_returns_the_module_label_objects(tmp_path):
+    rows = [
+        make_row(source=source, kind=kind, level=level, dialect=dialect)
+        for source in ingest.SOURCES
+        for kind in ingest.KINDS
+        for level in ingest.LEVELS
+        for dialect in ingest.DIALECTS + (None,)
+    ]
+    reread = list(ingest.read_rows(write_rows_file(tmp_path, rows)))
+    assert reread == rows
+    for row in reread:
+        assert any(row.source is label for label in ingest.SOURCES)
+        assert any(row.kind is label for label in ingest.KINDS)
+        assert any(row.level is label for label in ingest.LEVELS)
+        assert row.dialect is None or any(row.dialect is d for d in ingest.DIALECTS)
+
+
+def test_column_map_load_rejects_deep_nesting(tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    with pytest.raises(FormatError, match="invalid column map"):
+        ingest.ColumnMapConfig.load(path)
+
+
 def test_column_map_requires_12_blocks():
     with pytest.raises(FormatError, match="12"):
         ingest.ColumnMapConfig({"worker_id": 0, "sentences": [{}] * 3})
@@ -272,14 +296,18 @@ def _default_map() -> dict:
         ({"level": {"value": "mostly?"}}, "unknown level label 'mostly?'"),
         ({"dialect": {"value": "XYZ"}}, "unknown dialect label 'XYZ'"),
         ({"kind": {"value": " control"}}, "unknown kind ' control'"),
+        (7, "sentence block 0 must be an object, got 7"),
+        (["text", 8], "sentence block 0 must be an object, got ['text', 8]"),
     ],
     ids=["text-str", "text-bool", "text-negative", "text-float", "column-str",
          "empty-ref", "source-const", "source-null", "level-const", "dialect-const",
-         "kind-const"],
+         "kind-const", "block-int", "block-list"],
 )
 def test_column_map_block_faults_raise_at_load(edit, message):
+    """``edit`` is merged into sentence block 0, or replaces it if not a dict."""
     raw = _default_map()
-    raw["sentences"][0].update(edit)
+    block = raw["sentences"][0]
+    raw["sentences"][0] = {**block, **edit} if isinstance(edit, dict) else edit
     with pytest.raises(FormatError, match=re.escape(message)):
         ingest.ColumnMapConfig(raw)
 
@@ -291,12 +319,27 @@ def test_column_map_block_faults_raise_at_load(edit, message):
         ({"residence": "2"}, "field 'residence' has unusable reference '2'"),
         ({"level_aliases": {"msa": "Bogus"}}, "level alias 'msa': unknown level"),
         ({"level_aliases": {"x": "most"}}, "level alias 'x': unknown level 'most'"),
+        ({"columns": "77"}, "'columns' must be an integer of at least 77, got '77'"),
+        ({"columns": True}, "'columns' must be an integer of at least 77, got True"),
+        ({"columns": 76}, "'columns' must be an integer of at least 77, got 76"),
+        ({"columns": 77.0}, "'columns' must be an integer of at least 77, got 77.0"),
+        ({"level_aliases": ["pure msa", "MSA"]},
+         "'level_aliases' must be an object, got ['pure msa', 'MSA']"),
+        ({"level_aliases": None}, "'level_aliases' must be an object, got None"),
+        ({"worker_id": {"value": ""}}, "field 'worker_id' is missing or empty"),
+        ({"worker_id": None}, "field 'worker_id' is missing or empty"),
+        ([], "column map must be a JSON object, got []"),
+        ("map", "column map must be a JSON object, got 'map'"),
     ],
-    ids=["worker-bool", "residence-str", "alias-bogus", "alias-lowercase"],
+    ids=["worker-bool", "residence-str", "alias-bogus", "alias-lowercase",
+         "columns-str", "columns-bool", "columns-too-few", "columns-float",
+         "aliases-list", "aliases-null", "worker-empty-const", "worker-null",
+         "map-list", "map-str"],
 )
 def test_column_map_top_level_faults_raise_at_load(edit, message):
+    """``edit`` is merged into the default map, or replaces it if not a dict."""
     raw = _default_map()
-    raw.update(edit)
+    raw = {**raw, **edit} if isinstance(edit, dict) else edit
     with pytest.raises(FormatError, match=re.escape(message)):
         ingest.ColumnMapConfig(raw)
 
@@ -333,6 +376,84 @@ def test_column_map_unused_source_default_is_not_resolved():
     raw = _default_map()
     raw["source"] = "unused"
     assert ingest.ColumnMapConfig(raw).blocks[0][0] == 5
+
+
+# --- Fuzz: random JSON in every slot of the column map ------------------------
+
+
+def _random_json(rng: random.Random, depth: int = 0):
+    """A random JSON value: int, bool, str, list, dict, null or float."""
+    kind = rng.choice(("int", "bool", "str", "list", "dict", "null", "float"))
+    if kind == "int":
+        return rng.choice([-1, 0, 1, 8, 76, 77, 10**12])
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "str":
+        return rng.choice(["", " ", "8", "MSA", "most", "control", "AlGhad", "value",
+                           "نص"])
+    if kind == "float":
+        return rng.choice([0.0, 8.0, -1.5, 1e300])
+    if kind == "null":
+        return None
+    width = rng.randrange(3) if depth < 2 else 0
+    if kind == "list":
+        return [_random_json(rng, depth + 1) for _ in range(width)]
+    keys = ("column", "value", "text", "sentences", "msa")
+    return {rng.choice(keys): _random_json(rng, depth + 1) for _ in range(width)}
+
+
+def _slots(value, path=()):
+    """The path of every value in a JSON tree, the root included."""
+    yield path
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _slots(child, path + (key,))
+
+
+def _mutate_slot(tree, path, rng: random.Random):
+    """``tree`` with the value at ``path`` replaced by random JSON or deleted."""
+    if not path:
+        return _random_json(rng)
+    parent = tree
+    try:
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]]
+    except (KeyError, IndexError, TypeError):
+        return tree  # an earlier mutation of this case removed the slot
+    if not isinstance(parent, (dict, list)):
+        return tree
+    if isinstance(parent, dict) and rng.random() < 0.2:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = _random_json(rng)
+    return tree
+
+
+def test_column_map_fuzz_raises_only_format_error():
+    rng = random.Random(20231026)
+    base = _default_map()
+    base["level_aliases"] = {"pure msa": "MSA"}
+    base["source"] = "AlGhad"
+    slots = list(_slots(base))
+    cells = make_hit_line().split("\t")
+    outcomes = {"load": 0, "line": 0, "rows": 0}
+    for case in range(2000):
+        raw = json.loads(json.dumps(base))
+        for path in rng.sample(slots, rng.randint(1, 3)):
+            raw = _mutate_slot(raw, path, rng)
+        try:
+            cmap = ingest.ColumnMapConfig(raw)
+        except FormatError:
+            outcomes["load"] += 1
+            continue
+        try:
+            ingest._parse_hit_line(cells, cmap, 1)
+            outcomes["rows"] += 1
+        except FormatError:
+            outcomes["line"] += 1
+    assert all(outcomes.values()), outcomes
 
 
 # --- Fuzz: mutated lines of the shipped 77-column layout ---------------------
