@@ -20,7 +20,7 @@ import warnings
 from collections import Counter
 from typing import Hashable, Sequence
 
-from .dataset import CommentGroup, LEVEL_VALUES
+from .dataset import CommentGroup, LEVEL_THIRDS
 from .errors import FormatError
 
 
@@ -112,8 +112,8 @@ def level_agreement_items(
     values: list[list[float]] = []
     for group in groups:
         levels = group.levels
-        if len(levels) != 3 or any(lv not in LEVEL_VALUES for lv in levels):
+        if len(levels) != 3 or any(lv not in LEVEL_THIRDS for lv in levels):
             continue
         labels.append(levels)
-        values.append([float(LEVEL_VALUES[lv]) for lv in levels])
+        values.append([LEVEL_THIRDS[lv] / 3 for lv in levels])
     return labels, values

@@ -36,18 +36,32 @@ def _version_string() -> str:
 def _score_formatter(full_precision: bool):
     if full_precision:
         return lambda v: repr(float(v))
-    return lambda v: dataset_mod.format_score(v)
+    return dataset_mod.format_score
 
 
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2))
 
 
+# --estimator kind -> (the flag naming its input, factory(input, batch size));
+# the input is a file, or the scorer command line for "external"
+_ESTIMATORS = {
+    "lexicon": ("--lexicon", lambda path, _: est_mod.LexiconEstimator(
+        est_mod.load_lexicon(path))),
+    "cmi": ("--tags", lambda path, _: est_mod.PositionalEstimator(
+        "cmi", [[tag for _, tag in s] for s in est_mod.read_token_tag_file(path)])),
+    "binary-di": ("--labels", lambda path, _: est_mod.PositionalEstimator(
+        "binary-di", est_mod.read_label_file(path))),
+    "external": ("--scorer-cmd", lambda command, batch_size: est_mod.ExternalEstimator(
+        tuple(shlex.split(command)), batch_size)),
+}
+
+
 def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--estimator",
         required=True,
-        choices=("lexicon", "cmi", "binary-di", "external"),
+        choices=tuple(_ESTIMATORS),
         help="which score producer to use",
     )
     parser.add_argument("--lexicon", help="lexicon file (estimator=lexicon)")
@@ -65,35 +79,14 @@ def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_estimator(kind: str, source: str, batch_size: int | None = None):
-    """Estimator of one kind; ``source`` is its input file or scorer command."""
-    if kind == "lexicon":
-        return est_mod.LexiconEstimator(est_mod.load_lexicon(source))
-    if kind == "cmi":
-        sequences = est_mod.read_token_tag_file(source)
-        return est_mod.CmiEstimator([[tag for _, tag in seq] for seq in sequences])
-    if kind == "binary-di":
-        return est_mod.BinaryDiEstimator(est_mod.read_label_file(source))
-    return est_mod.ExternalEstimator(tuple(shlex.split(source)), batch_size)
-
-
-# --estimator kind -> the flag naming its input
-_ESTIMATOR_SOURCE_FLAG = {
-    "lexicon": "--lexicon",
-    "cmi": "--tags",
-    "binary-di": "--labels",
-    "external": "--scorer-cmd",
-}
-
-
 def _make_estimator(args):
-    flag = _ESTIMATOR_SOURCE_FLAG[args.estimator]
+    flag, factory = _ESTIMATORS[args.estimator]
     source = getattr(args, flag[2:].replace("-", "_"))
     if not source:
         raise FormatError("--estimator %s requires %s" % (args.estimator, flag))
     if args.batch_size is not None and args.estimator != "external":
         raise FormatError("--batch-size applies only to --estimator external")
-    return _build_estimator(args.estimator, source, args.batch_size)
+    return factory(source, args.batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +185,8 @@ def _cmd_score(args) -> int:
         sentences = _read_sentences(args.sentences)
         source_path = args.sentences
     elif args.from_dataset:
-        records = pipeline.read_dataset_file(args.from_dataset)
-        sentences = [r["text"] for r in records]
+        rows = pipeline.read_dataset_file(args.from_dataset, ("text",))
+        sentences = [text for (text,) in rows]
         source_path = args.from_dataset
     elif args.estimator == "cmi" and args.tags:
         sequences = est_mod.read_token_tag_file(args.tags)
@@ -222,30 +215,27 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    records = pipeline.read_dataset_file(args.gold)
+    rows = pipeline.read_dataset_file(args.gold, ("kind", "aldi", "split"))
     predictions = pipeline.read_score_file(args.pred)
     selected = [
-        r
-        for r in records
-        if (args.split is None or r.get("split") == args.split) and r.get("aldi")
+        (row_id, kind, aldi)
+        for row_id, (kind, aldi, split) in enumerate(rows, start=1)
+        if (args.split is None or split == args.split) and aldi
     ]
     if not selected:
         raise FormatError("no gold rows selected")
     pairs = []
-    for record in selected:
-        if record["id"] not in predictions:
-            raise FormatError("no prediction for dataset row %d" % record["id"])
+    for row_id, kind, aldi in selected:
+        if row_id not in predictions:
+            raise FormatError("no prediction for dataset row %d" % row_id)
         try:
-            gold = float(record["aldi"])
+            gold = float(aldi)
         except ValueError:
             raise FormatError(
-                "%s: row %d has non-numeric aldi %r"
-                % (args.gold, record["id"], record["aldi"])
+                "%s: row %d has non-numeric aldi %r" % (args.gold, row_id, aldi)
             ) from None
         pairs.append(
-            eval_mod.ScoredPair(
-                gold=gold, predicted=predictions[record["id"]], subset=record["kind"]
-            )
+            eval_mod.ScoredPair(gold=gold, predicted=predictions[row_id], subset=kind)
         )
     if args.split is None and len(predictions) != len(selected):
         raise FormatError(
@@ -296,7 +286,7 @@ def _cmd_contrastive(args) -> int:
     if args.batch_size is not None and not args.scorer_cmd:
         raise FormatError("--batch-size applies only with --scorer-cmd")
     estimators = [
-        _build_estimator(kind, source, args.batch_size)
+        _ESTIMATORS[kind][1](source, args.batch_size)
         for kind, source in sources
         if source
     ]

@@ -13,8 +13,9 @@ Pipeline stages, in order:
 
 Annotation rows are consumed as a stream: a :class:`CommentGroup` keeps only
 the level and dialect label of each of its annotations, and every later stage
-reads the groups. Scores are exact rationals internally and serialize at 6
-decimal places (round half even). Output files list groups sorted by source,
+reads the groups. A score is exact: the pair (k, n) of a level sum in
+thirds and a label count stands for k / 3n, and it serializes at 6 decimal
+places (round half even). Output files list groups sorted by source,
 article and canonical text; a group's labels keep their input order.
 """
 
@@ -25,7 +26,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,12 +33,8 @@ from . import textnorm
 from .errors import AldiError, FormatError
 from .ingest import AnnotationRow, LEVELS
 
-LEVEL_VALUES = {
-    "MSA": Fraction(0),
-    "Little": Fraction(1, 3),
-    "Mixed": Fraction(2, 3),
-    "Most": Fraction(1),
-}
+# ordinal level -> its dialectness in thirds (Little is 1/3)
+LEVEL_THIRDS = {"MSA": 0, "Little": 1, "Mixed": 2, "Most": 3}
 
 UNUSABLE_LEVELS = ("NotArabic", "Missing")
 
@@ -77,7 +73,8 @@ class CommentGroup:
 
     ``levels[i]`` and ``dialects[i]`` are the labels of the group's i-th
     annotation, in input order (``""`` for no dialect). The later stages fill
-    in ``aldi`` and ``split`` (kept groups) or ``category`` (discarded ones).
+    in ``aldi`` and ``split`` (kept groups) or ``category`` (discarded ones);
+    ``aldi`` is the :func:`aggregate` pair ``(k, n)``.
     """
 
     source: str
@@ -87,18 +84,23 @@ class CommentGroup:
     kind: str
     levels: list[str]
     dialects: list[str]
-    aldi: Fraction | None = None
+    aldi: tuple[int, int] | None = None
     split: str | None = None
     category: str | None = None
 
 
-def format_score(score: Fraction | float, places: int = 6) -> str:
-    """Fixed-point decimal rendering, round half even."""
-    if isinstance(score, Fraction):
-        dec = Decimal(score.numerator) / Decimal(score.denominator)
-    else:
-        dec = Decimal(repr(float(score)))
-    return str(dec.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN))
+def format_score(score: float) -> str:
+    """The float's shortest repr at 6 decimal places, round half even."""
+    dec = Decimal(repr(float(score)))
+    return str(dec.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN))
+
+
+def format_thirds(k: int, n: int) -> str:
+    """The exact score k / 3n (k >= 0) at 6 decimal places, round half even."""
+    q, r = divmod(k * 10**6, 3 * n)
+    if 2 * r > 3 * n or (2 * r == 3 * n and q % 2):
+        q += 1
+    return "%d.%06d" % divmod(q, 10**6)
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +197,16 @@ def categorize_discard(group: CommentGroup) -> str:
 # Step: aggregation
 
 
-def aggregate(group: CommentGroup) -> Fraction:
-    """Mean dialectness of the usable (ordinal) annotations, in [0, 1]."""
-    values = [LEVEL_VALUES[level] for level in group.levels if level in LEVEL_VALUES]
+def aggregate(group: CommentGroup) -> tuple[int, int]:
+    """Mean dialectness of the n usable (ordinal) labels as ``(k, n)``, where
+    k is their sum in thirds: the score is k / 3n, in [0, 1]."""
+    values = [LEVEL_THIRDS[level] for level in group.levels if level in LEVEL_THIRDS]
     if not values:
         raise AldiError(
             "group (%s, %s) has no usable level annotations"
             % (group.source, group.article_id)
         )
-    return sum(values, Fraction(0)) / len(values)
+    return sum(values), len(values)
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +300,9 @@ def make_splits(
 # Step: statistics
 
 
-def _aldi_bin(score: Fraction) -> int:
-    if score < Fraction(1, 4):
-        return 0
-    if score < Fraction(1, 2):
-        return 1
-    if score < Fraction(3, 4):
-        return 2
-    return 3
+def _aldi_bin(k: int, n: int) -> int:
+    """Quarter of [0, 1] that holds the score k / 3n; 1 falls in the last."""
+    return min(3, 4 * k // (3 * n))
 
 
 def corpus_stats(
@@ -343,7 +341,7 @@ def corpus_stats(
     split_counts: dict[str, dict[str, Counter]] = {}
     for group in groups:
         if group.aldi is not None:
-            b = _aldi_bin(group.aldi)
+            b = _aldi_bin(*group.aldi)
             histogram["all"][b] += 1
             histogram[group.kind][b] += 1
         if group.split is not None:
@@ -478,7 +476,7 @@ def dataset_lines(groups: Sequence[CommentGroup]) -> Iterable[str]:
                 g.raw_text.replace("\t", " ").replace("\n", " "),
                 *levels,
                 *dialects,
-                format_score(g.aldi) if g.aldi is not None else "",
+                format_thirds(*g.aldi) if g.aldi is not None else "",
                 g.split or "",
             )
         )

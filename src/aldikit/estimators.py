@@ -260,38 +260,28 @@ class LexiconEstimator:
         return [_clip(lexicon_score(s, self.lexicon)) for s in sentences]
 
 
-class BinaryDiEstimator:
-    """Positional adapter: label i belongs to sentence i."""
-
-    estimator_id = "binary-di"
-
-    def __init__(self, labels: Sequence[str]):
-        self.labels = list(labels)
-
-    def score_many(self, sentences: Sequence[str]) -> list[float]:
-        if len(sentences) != len(self.labels):
-            raise FormatError(
-                "have %d DI labels for %d sentences"
-                % (len(self.labels), len(sentences))
-            )
-        return [binary_di_score(label) for label in self.labels]
+# positional estimator id -> (score of one item, plural noun for the items)
+_POSITIONAL = {
+    "binary-di": (binary_di_score, "DI labels"),
+    "cmi": (cmi_score, "tag sequences"),
+}
 
 
-class CmiEstimator:
-    """Positional adapter: tag sequence i belongs to sentence i."""
+class PositionalEstimator:
+    """Positional adapter: item i (a DI label or a tag sequence) belongs to
+    sentence i, and the sentence text itself is not read."""
 
-    estimator_id = "cmi"
-
-    def __init__(self, tag_sequences: Sequence[Sequence[str]]):
-        self.tag_sequences = [list(t) for t in tag_sequences]
+    def __init__(self, estimator_id: str, items: Sequence):
+        self.estimator_id = estimator_id
+        self.items = list(items)
 
     def score_many(self, sentences: Sequence[str]) -> list[float]:
-        if len(sentences) != len(self.tag_sequences):
+        score, noun = _POSITIONAL[self.estimator_id]
+        if len(sentences) != len(self.items):
             raise FormatError(
-                "have %d tag sequences for %d sentences"
-                % (len(self.tag_sequences), len(sentences))
+                "have %d %s for %d sentences" % (len(self.items), noun, len(sentences))
             )
-        return [_clip(cmi_score(tags)) for tags in self.tag_sequences]
+        return [_clip(score(item)) for item in self.items]
 
 
 class ExternalEstimator:

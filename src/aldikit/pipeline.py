@@ -79,12 +79,16 @@ def run_build_dataset(
             raw_keys.add((row.source, row.article_id, row.sentence_text))
             yield row
 
-    groups = dataset_mod.group_comments(rows(), key_mode=key_mode)
+    # under --key raw every group is one raw key, so no key set is needed
+    raw_mode = key_mode == "raw"
+    groups = dataset_mod.group_comments(
+        ingest_mod.read_rows(rows_path) if raw_mode else rows(), key_mode=key_mode
+    )
     if not groups:
         raise FormatError("%s contains no annotation rows" % rows_path)
     distinct_keys = {
         "normalized": dataset_mod.count_distinct_keys(groups),
-        "raw": len(raw_keys),
+        "raw": len(groups) if raw_mode else len(raw_keys),
     }
     del raw_keys  # freed before the later stages allocate
 
@@ -187,14 +191,16 @@ def read_score_file(path: str | Path) -> dict[int, float]:
     return scores
 
 
-def read_dataset_file(path: str | Path) -> list[dict]:
-    """Rows of a built dataset file, keyed by header names, id = ordinal."""
-    records = []
+def read_dataset_file(path: str | Path, columns: Sequence[str]) -> list[tuple[str, ...]]:
+    """The named columns of each row of a built dataset file; the row at
+    index i has id i + 1 (blank lines are not counted, as in score files)."""
+    rows = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
-        if "text" not in header or "aldi" not in header:
+        if any(name not in header for name in ("text", "aldi", *columns)):
             raise FormatError("%s: not a dataset file" % path)
-        for ordinal, line in enumerate(fh, start=1):
+        picks = [header.index(name) for name in columns]
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -202,9 +208,7 @@ def read_dataset_file(path: str | Path) -> list[dict]:
             if len(cells) != len(header):
                 raise FormatError(
                     "%s: row %d has %d columns, expected %d"
-                    % (path, ordinal, len(cells), len(header))
+                    % (path, lineno, len(cells), len(header))
                 )
-            record = dict(zip(header, cells))
-            record["id"] = ordinal
-            records.append(record)
-    return records
+            rows.append(tuple([cells[i] for i in picks]))
+    return rows

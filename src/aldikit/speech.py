@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 from . import textnorm
 from .errors import FormatError
@@ -146,9 +146,11 @@ def score_series(
     return ScoreSeries(document_id, estimator.estimator_id, points)
 
 
-def write_series_csv(series: ScoreSeries, fh: TextIO, score_fmt=None) -> None:
-    fmt = score_fmt or (lambda v: "%.6f" % v)
+def write_series_csv(
+    series: ScoreSeries, fh: TextIO, score_fmt: Callable[[float], str]
+) -> None:
+    """One CSV row per point; ``score_fmt`` renders each score."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["index", "score", "di_label", "sentence"])
     for point in series.points:
-        writer.writerow([point.index, fmt(point.aldi), point.di_label or "", point.sentence])
+        writer.writerow([point.index, score_fmt(point.aldi), point.di_label or "", point.sentence])

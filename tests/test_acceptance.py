@@ -21,7 +21,7 @@ import pytest
 
 from aldikit import cli, dataset, pipeline
 from aldikit.agreement import fleiss_kappa, krippendorff_alpha_interval
-from aldikit.dataset import CommentGroup, aggregate, format_score
+from aldikit.dataset import CommentGroup, aggregate, format_thirds
 from aldikit.estimators import (
     Lexicon,
     LexiconEstimator,
@@ -81,13 +81,13 @@ def make_group(levels):
 def test_criterion_1_aggregation_golden():
     with criterion(1, "aggregation golden values", budget_seconds=1.0):
         cases = [
-            (("MSA", "MSA", "Little"), "0.11"),
-            (("Little", "Little", "Most"), "0.56"),
-            (("Most", "Most", "Most"), "1.00"),
+            (("MSA", "MSA", "Little"), "0.111111"),
+            (("Little", "Little", "Most"), "0.555556"),
+            (("Most", "Most", "Most"), "1.000000"),
         ]
         for levels, display in cases:
-            score = aggregate(make_group(list(levels)))
-            assert format_score(score, places=2) == display, levels
+            k, n = aggregate(make_group(list(levels)))
+            assert format_thirds(k, n) == display, levels
 
 
 def test_criterion_2_agreement_oracles():
@@ -200,16 +200,18 @@ def test_criterion_4_lexicon_baseline_rmse(tmp_path):
             AOC_ROWS, out_dir, seed=42, assignment_path=AOC_SPLITS
         )
         lexicon = load_lexicon(UN_LEXICON)
-        records = pipeline.read_dataset_file(out_dir / "dataset.tsv")
+        rows = pipeline.read_dataset_file(
+            out_dir / "dataset.tsv", ("split", "aldi", "text", "kind")
+        )
         pairs = []
-        for record in records:
-            if record["split"] != "test" or not record["aldi"]:
+        for split, aldi, text, kind in rows:
+            if split != "test" or not aldi:
                 continue
             pairs.append(
                 ScoredPair(
-                    gold=float(record["aldi"]),
-                    predicted=lexicon_score(record["text"], lexicon),
-                    subset=record["kind"],
+                    gold=float(aldi),
+                    predicted=lexicon_score(text, lexicon),
+                    subset=kind,
                 )
             )
         assert abs(rmse(pairs, "control") - 0.13) <= 0.02

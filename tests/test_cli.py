@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from aldikit import cli, ingest, pipeline
+from aldikit import dataset as dataset_mod
 from aldikit.errors import FormatError
 from aldikit.evaluation import read_pairs_file
 from aldikit.pipeline import read_score_file, run_build_dataset, run_ingest
@@ -324,6 +325,33 @@ def test_evaluate_non_numeric_gold_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert run(["evaluate", "--gold", dataset_file, "--pred", preds]) == 2
     assert "row 1 has non-numeric aldi 'high'" in capsys.readouterr().err
+
+
+def test_score_and_evaluate_ids_skip_blank_dataset_lines(tmp_path, capsys):
+    # ids count data lines, so the blank third line shifts no later row
+    cells = [("0.000000", "test"), ("1.000000", "test"),
+             ("0.000000", "test"), ("1.000000", "train")]
+    lines = [
+        "\t".join(["AlGhad", "a%d" % i, "comment", "نص%d" % i, "MSA"]
+                  + [""] * 5 + [aldi, split])
+        for i, (aldi, split) in enumerate(cells, start=1)
+    ]
+    lines.insert(2, "")
+    dataset_file = tmp_path / "dataset.tsv"
+    dataset_file.write_text(
+        "\n".join(["\t".join(dataset_mod.DATASET_HEADER)] + lines) + "\n",
+        encoding="utf-8",
+    )
+    labels = tmp_path / "labels.txt"
+    labels.write_text("MSA\nEGY\nMSA\nEGY\n", encoding="utf-8")  # the gold scores
+    preds = tmp_path / "preds.tsv"
+    argv = ["score", "--estimator", "binary-di", "--labels", labels]
+    assert run(argv + ["--from-dataset", dataset_file, "-o", preds]) == 0
+    capsys.readouterr()
+    argv = ["evaluate", "--gold", dataset_file, "--pred", preds]
+    assert run(argv + ["--split", "test", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["all"] == {"n": 3, "rmse": 0.0}
 
 
 def test_dprime_command(tmp_path, capsys):

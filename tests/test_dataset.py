@@ -1,4 +1,5 @@
 import random
+from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from aldikit.dataset import (
     count_distinct_keys,
     discard_junk,
     format_score,
+    format_thirds,
     group_comments,
     make_splits,
 )
@@ -164,15 +166,15 @@ def test_categorize_priority_url_beats_html():
 
 
 def test_aggregate_table_values():
-    assert aggregate(make_group(["MSA", "MSA", "Little"])) == Fraction(1, 9)
-    assert aggregate(make_group(["Little", "Little", "Most"])) == Fraction(5, 9)
-    assert aggregate(make_group(["MSA", "MSA", "MSA"])) == 0
-    assert aggregate(make_group(["Most", "Most", "Most"])) == 1
+    assert aggregate(make_group(["MSA", "MSA", "Little"])) == (1, 3)  # 1/9
+    assert aggregate(make_group(["Little", "Little", "Most"])) == (5, 3)  # 5/9
+    assert aggregate(make_group(["MSA", "MSA", "MSA"])) == (0, 3)
+    assert aggregate(make_group(["Most", "Most", "Most"])) == (9, 3)  # 1
 
 
 def test_aggregate_excludes_unusable():
-    assert aggregate(make_group(["MSA", "NotArabic", "Most"])) == Fraction(1, 2)
-    assert aggregate(make_group(["Missing", "Mixed", "Mixed"])) == Fraction(2, 3)
+    assert aggregate(make_group(["MSA", "NotArabic", "Most"])) == (3, 2)  # 1/2
+    assert aggregate(make_group(["Missing", "Mixed", "Mixed"])) == (4, 2)  # 2/3
 
 
 def test_aggregate_requires_usable():
@@ -185,14 +187,15 @@ def test_aggregate_monotone_in_single_annotation():
     rng = random.Random(5)
     for _ in range(200):
         levels = [rng.choice(ordinals) for _ in range(rng.randrange(1, 6))]
-        base = aggregate(make_group(levels))
+        base_k, base_n = aggregate(make_group(levels))
         i = rng.randrange(len(levels))
         rank = ordinals.index(levels[i])
         if rank == 3:
             continue
         raised = list(levels)
         raised[i] = ordinals[rng.randrange(rank + 1, 4)]
-        assert aggregate(make_group(raised)) > base
+        k, n = aggregate(make_group(raised))
+        assert n == base_n and k > base_k
 
 
 def test_aggregate_range_and_extremes():
@@ -200,19 +203,39 @@ def test_aggregate_range_and_extremes():
     rng = random.Random(6)
     for _ in range(300):
         levels = [rng.choice(ordinals) for _ in range(rng.randrange(1, 7))]
-        score = aggregate(make_group(levels))
-        assert 0 <= score <= 1
-        assert (score == 0) == all(lv == "MSA" for lv in levels)
-        assert (score == 1) == all(lv == "Most" for lv in levels)
+        k, n = aggregate(make_group(levels))
+        assert n == len(levels) and 0 <= k <= 3 * n
+        assert (k == 0) == all(lv == "MSA" for lv in levels)
+        assert (k == 3 * n) == all(lv == "Most" for lv in levels)
 
 
 def test_format_score_six_places_half_even():
-    assert format_score(Fraction(1, 9)) == "0.111111"
-    assert format_score(Fraction(5, 9)) == "0.555556"
-    assert format_score(Fraction(1)) == "1.000000"
-    # ties round to even
-    assert format_score(Fraction(1, 2000000)) == "0.000000"
-    assert format_score(Fraction(3, 2000000)) == "0.000002"
+    assert format_thirds(1, 3) == "0.111111"
+    assert format_thirds(5, 3) == "0.555556"
+    assert format_thirds(3, 1) == "1.000000"
+    # ties round to even: 3 / 6,000,000 and 9 / 6,000,000
+    assert format_thirds(3, 2000000) == "0.000000"
+    assert format_thirds(9, 2000000) == "0.000002"
+
+
+def test_format_score_rounds_the_float_repr_half_even():
+    # the shortest repr is an exact tie, which "%.6f" would round up
+    assert format_score(0.2500005) == "0.250000"
+    assert format_score(0.2500015) == "0.250002"
+    assert format_score(1.0) == "1.000000"
+
+
+def oracle_format_thirds(k, n):
+    """The earlier rendering: an exact Fraction through Decimal division."""
+    score = Fraction(k, 3 * n)
+    dec = Decimal(score.numerator) / Decimal(score.denominator)
+    return str(dec.quantize(Decimal(1).scaleb(-6), rounding=ROUND_HALF_EVEN))
+
+
+def test_format_thirds_matches_fraction_oracle_exhaustively():
+    for n in range(1, 401):
+        for k in range(3 * n + 1):
+            assert format_thirds(k, n) == oracle_format_thirds(k, n), (k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +361,16 @@ def test_corpus_stats_empty_input():
 
 
 def test_histogram_bin_edges():
+    # (k, n) stands for k / 3n
     edges = [
-        (Fraction(0), 0),
-        (Fraction(1, 4), 1),
-        (Fraction(1, 2), 2),
-        (Fraction(3, 4), 3),
-        (Fraction(1), 3),
+        ((0, 1), 0),  # 0
+        ((3, 4), 1),  # 1/4
+        ((3, 2), 2),  # 1/2
+        ((9, 4), 3),  # 3/4
+        ((3, 1), 3),  # 1
     ]
-    for value, expected in edges:
-        assert dataset._aldi_bin(value) == expected
+    for (k, n), expected in edges:
+        assert dataset._aldi_bin(k, n) == expected
 
 
 def test_dataset_lines_sorted_and_spread():

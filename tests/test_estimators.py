@@ -8,10 +8,9 @@ import pytest
 from aldikit import estimators
 from aldikit.errors import FormatError, ProtocolError
 from aldikit.estimators import (
-    BinaryDiEstimator,
-    CmiEstimator,
     Lexicon,
     LexiconEstimator,
+    PositionalEstimator,
     binary_di_score,
     build_lexicon,
     cmi_score,
@@ -247,16 +246,16 @@ def test_estimator_outputs_in_range_random():
 
 
 def test_binary_estimator_alignment():
-    est = BinaryDiEstimator(["MSA", "EGY"])
+    est = PositionalEstimator("binary-di", ["MSA", "EGY"])
     assert est.score_many(["x", "y"]) == [0.0, 1.0]
     with pytest.raises(FormatError, match="2 DI labels for 1"):
         est.score_many(["x"])
 
 
 def test_cmi_estimator_alignment():
-    est = CmiEstimator([["MSA", "EGY"]])
+    est = PositionalEstimator("cmi", [["MSA", "EGY"]])
     assert est.score_many(["جملة"]) == [0.5]
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="1 tag sequences for 2"):
         est.score_many(["a", "b"])
 
 

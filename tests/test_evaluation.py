@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from aldikit.errors import AldiError, FormatError
-from aldikit.estimators import BinaryDiEstimator, LexiconEstimator, load_lexicon
+from aldikit.estimators import LexiconEstimator, PositionalEstimator, load_lexicon
 from aldikit.evaluation import (
     ContrastivePair,
     ScoredPair,
@@ -160,7 +160,7 @@ def test_contrastive_binary_di_columns():
         ContrastivePair("F1", "MSA", "VSO", "fem", "جملة فصحى"),
         ContrastivePair("F1", "EGY", "VSO", "fem", "جملة عامية"),
     ]
-    rows = contrastive_matrix(pairs, [BinaryDiEstimator(["MSA", "EGY"])])
+    rows = contrastive_matrix(pairs, [PositionalEstimator("binary-di", ["MSA", "EGY"])])
     cell = rows[0].scores["binary-di"]
     assert cell["MSA"]["fem"] == 0.0
     assert cell["EGY"]["fem"] == 1.0

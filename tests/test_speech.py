@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from aldikit.errors import FormatError
+from aldikit.dataset import format_score
 from aldikit.estimators import Lexicon, LexiconEstimator
 from aldikit.speech import ScoreSeries, SeriesPoint, score_series, segment_html, write_series_csv
 from aldikit.textnorm import normalize
@@ -140,7 +141,7 @@ def test_write_series_csv():
         "doc", "lexicon", (SeriesPoint(1, "جملة", 0.5, "EGY"),)
     )
     out = io.StringIO()
-    write_series_csv(series, out)
+    write_series_csv(series, out, format_score)
     lines = out.getvalue().splitlines()
     assert lines[0] == "index,score,di_label,sentence"
     assert lines[1] == "1,0.500000,EGY,جملة"
