@@ -1,5 +1,9 @@
 """Command-line entry point: one executable, one subcommand per stage.
 
+Each ``_cmd_*`` handler returns ``(payload, text)``: the dict that ``--json``
+prints and the text printed otherwise. Only ``main`` writes stdout or reads
+``sys.argv``; it keeps the argv it parsed as ``args.argv`` for the manifests.
+
 Exit codes: 0 success, 1 I/O failure, 2 format/validation failure,
 3 external-scorer protocol failure.
 """
@@ -37,10 +41,6 @@ def _score_formatter(full_precision: bool):
     if full_precision:
         return lambda v: repr(float(v))
     return dataset_mod.format_score
-
-
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2))
 
 
 # --estimator kind -> (the flag naming its input, factory(input, batch size));
@@ -93,71 +93,58 @@ def _make_estimator(args):
 # Subcommand handlers
 
 
-def _cmd_ingest(args) -> int:
+def _write_sidecar(args, out, inputs: list, **extra) -> None:
+    write_manifest(str(out) + ".manifest.json", args.argv, inputs, extra=extra)
+
+
+def _cmd_ingest(args):
     summary = pipeline.run_ingest(
         args.hit_file,
         args.output,
         column_map_path=args.column_map,
         strict=not args.lenient,
-        command=sys.argv[1:],
+        command=args.argv,
     )
-    if args.json:
-        _print_json(summary)
-    else:
-        print(
-            "ingested %d HITs -> %d rows (%s)"
-            % (summary["hits"], summary["rows"], summary["output"])
-        )
-        for source, count in summary["rows_per_source"].items():
-            print("  %-9s %d" % (source, count))
-        if summary["skipped_lines"]:
-            print("  skipped %d malformed line(s)" % summary["skipped_lines"])
-    return EXIT_OK
+    text = "ingested %(hits)d HITs -> %(rows)d rows (%(output)s)\n" % summary
+    for source, count in summary["rows_per_source"].items():
+        text += "  %-9s %d\n" % (source, count)
+    if summary["skipped_lines"]:
+        text += "  skipped %d malformed line(s)\n" % summary["skipped_lines"]
+    return summary, text
 
 
-def _cmd_build_dataset(args) -> int:
+def _cmd_build_dataset(args):
     summary = pipeline.run_build_dataset(
         args.rows_file,
         args.output,
         seed=args.seed,
         assignment_path=args.splits,
         key_mode=args.key,
-        command=sys.argv[1:],
+        command=args.argv,
     )
-    if args.json:
-        _print_json(summary)
-    else:
-        print(
-            "built dataset: %d kept, %d discarded -> %s"
-            % (summary["kept"], summary["discarded"], summary["output_dir"])
-        )
-    return EXIT_OK
+    return summary, (
+        "built dataset: %(kept)d kept, %(discarded)d discarded -> %(output_dir)s\n"
+        % summary
+    )
 
 
-def _cmd_agreement(args) -> int:
+def _cmd_agreement(args):
     report = pipeline.run_agreement(args.rows_file)
-    if args.json:
-        _print_json(report)
-    else:
-        print("items with 3 usable annotations: %d" % report["items"])
-        print("ratings:                         %d" % report["ratings"])
-        print("Fleiss kappa:                    %.6f" % report["fleiss_kappa"])
-        print(
-            "Krippendorff alpha (interval):   %.6f"
-            % report["krippendorff_alpha_interval"]
-        )
-    return EXIT_OK
+    return report, (
+        "items with 3 usable annotations: %(items)d\n"
+        "ratings:                         %(ratings)d\n"
+        "Fleiss kappa:                    %(fleiss_kappa).6f\n"
+        "Krippendorff alpha (interval):   %(krippendorff_alpha_interval).6f\n"
+        % report
+    )
 
 
-def _cmd_build_lexicon(args) -> int:
+def _cmd_build_lexicon(args):
     with open(args.corpus, encoding="utf-8") as fh:
         lexicon, counts = est_mod.build_lexicon(fh, min_occurrences=args.min_count)
     est_mod.save_lexicon(lexicon, args.output, counts if args.counts else None)
-    write_manifest(
-        str(args.output) + ".manifest.json",
-        sys.argv[1:],
-        [args.corpus],
-        extra={"tokens": len(lexicon), "min_count": args.min_count},
+    _write_sidecar(
+        args, args.output, [args.corpus], tokens=len(lexicon), min_count=args.min_count
     )
     payload = {
         "tokens": len(lexicon),
@@ -165,24 +152,14 @@ def _cmd_build_lexicon(args) -> int:
         "min_count": args.min_count,
         "output": str(args.output),
     }
-    if args.json:
-        _print_json(payload)
-    else:
-        print(
-            "lexicon: kept %d of %d distinct tokens (min_count=%d) -> %s"
-            % (len(lexicon), len(counts), args.min_count, args.output)
-        )
-    return EXIT_OK
+    return payload, "lexicon: kept %d of %d distinct tokens (min_count=%d) -> %s\n" % (
+        len(lexicon), len(counts), args.min_count, args.output
+    )
 
 
-def _read_sentences(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]
-
-
-def _cmd_score(args) -> int:
+def _cmd_score(args):
     if args.sentences:
-        sentences = _read_sentences(args.sentences)
+        sentences = est_mod.read_label_file(args.sentences)
         source_path = args.sentences
     elif args.from_dataset:
         rows = pipeline.read_dataset_file(args.from_dataset, ("text",))
@@ -194,27 +171,24 @@ def _cmd_score(args) -> int:
         source_path = args.tags
     else:
         raise FormatError("score needs --sentences or --from-dataset")
+    if not sentences:
+        raise FormatError("%s contains no sentences" % source_path)
     estimator = _make_estimator(args)
     scores = estimator.score_many(sentences)
     fmt = _score_formatter(args.full_precision)
-    lines = ["%d\t%s" % (i, fmt(s)) for i, s in enumerate(scores, start=1)]
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        write_manifest(
-            str(args.output) + ".manifest.json",
-            sys.argv[1:],
-            [source_path],
-            extra={"estimator": estimator.estimator_id, "scores": len(scores)},
-        )
-        print("scored %d sentences -> %s" % (len(scores), args.output))
-    else:
-        for line in lines:
-            print(line)
-    return EXIT_OK
+    table = "".join("%d\t%s\n" % (i, fmt(s)) for i, s in enumerate(scores, start=1))
+    if not args.output:
+        return None, table
+    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(table)
+    _write_sidecar(
+        args, args.output, [source_path],
+        estimator=estimator.estimator_id, scores=len(scores),
+    )
+    return None, "scored %d sentences -> %s\n" % (len(scores), args.output)
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args):
     rows = pipeline.read_dataset_file(args.gold, ("kind", "aldi", "split"))
     predictions = pipeline.read_score_file(args.pred)
     selected = [
@@ -242,41 +216,35 @@ def _cmd_evaluate(args) -> int:
             "%d predictions for %d gold rows" % (len(predictions), len(selected))
         )
     report = eval_mod.rmse_report(pairs)
-    if args.json:
-        _print_json(report)
-    else:
-        print("%-8s %8s  %s" % ("subset", "n", "rmse"))
-        for name in ("control", "comment", "all"):
-            cell = report[name]
-            value = "-" if cell["rmse"] is None else "%.6f" % cell["rmse"]
-            print("%-8s %8d  %s" % (name, cell["n"], value))
-    return EXIT_OK
+    text = "%-8s %8s  %s\n" % ("subset", "n", "rmse")
+    for name in ("control", "comment", "all"):
+        cell = report[name]
+        value = "-" if cell["rmse"] is None else "%.6f" % cell["rmse"]
+        text += "%-8s %8d  %s\n" % (name, cell["n"], value)
+    return report, text
 
 
 def _read_group_scores(path: str) -> list[float]:
     return [v for _, v in sorted(pipeline.read_score_file(path).items())]
 
 
-def _cmd_dprime(args) -> int:
+def _cmd_dprime(args):
     group_a = _read_group_scores(args.a)
     group_b = _read_group_scores(args.b)
     value = eval_mod.d_prime(group_a, group_b, sample_variance=not args.population)
-    if args.json:
-        _print_json(
-            {
-                "d_prime": value,
-                "n_a": len(group_a),
-                "n_b": len(group_b),
-                "variance": "population" if args.population else "sample",
-            }
-        )
-    else:
-        print("%.6f" % value)
-    return EXIT_OK
+    payload = {
+        "d_prime": value,
+        "n_a": len(group_a),
+        "n_b": len(group_b),
+        "variance": "population" if args.population else "sample",
+    }
+    return payload, "%.6f\n" % value
 
 
-def _cmd_contrastive(args) -> int:
+def _cmd_contrastive(args):
     pairs = eval_mod.read_pairs_file(args.pairs_file)
+    if not pairs:
+        raise FormatError("%s contains no pairs" % args.pairs_file)
     sources = (
         ("lexicon", args.lexicon),
         ("binary-di", args.di_labels),
@@ -295,38 +263,27 @@ def _cmd_contrastive(args) -> int:
             "contrastive needs at least one of --lexicon/--di-labels/--tags/--scorer-cmd"
         )
     rows = eval_mod.contrastive_matrix(pairs, estimators)
-    fmt = _score_formatter(args.full_precision)
-    table = eval_mod.render_matrix_tsv(rows, fmt)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(table)
-        write_manifest(
-            str(args.output) + ".manifest.json",
-            sys.argv[1:],
-            [args.pairs_file],
-            extra={"rows": len(rows)},
-        )
-        print("wrote %d matrix rows -> %s" % (len(rows), args.output))
-    else:
-        sys.stdout.write(table)
-    if args.json:
-        _print_json(
+    table = eval_mod.render_matrix_tsv(rows, _score_formatter(args.full_precision))
+    payload = {
+        "rows": [
             {
-                "rows": [
-                    {
-                        "feature_id": row.feature_id,
-                        "word_order": row.word_order,
-                        "scores": row.scores,
-                        "flagged": sorted(row.flagged),
-                    }
-                    for row in rows
-                ]
+                "feature_id": row.feature_id,
+                "word_order": row.word_order,
+                "scores": row.scores,
+                "flagged": sorted(row.flagged),
             }
-        )
-    return EXIT_OK
+            for row in rows
+        ]
+    }
+    if not args.output:
+        return payload, table
+    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(table)
+    _write_sidecar(args, args.output, [args.pairs_file], rows=len(rows))
+    return payload, "wrote %d matrix rows -> %s\n" % (len(rows), args.output)
 
 
-def _cmd_speech(args) -> int:
+def _cmd_speech(args):
     sentences = speech_mod.segment_html_file(args.html_file, args.mode)
     estimator = _make_estimator(args)
     di_labels = est_mod.read_label_file(args.di_labels) if args.di_labels else None
@@ -342,29 +299,19 @@ def _cmd_speech(args) -> int:
         svgplot.emit_plot(series, args.plot)
         outputs.append(args.plot)
     for out in outputs:
-        write_manifest(
-            str(out) + ".manifest.json",
-            sys.argv[1:],
-            [args.html_file],
-            extra={"segments": len(series.points), "mode": args.mode},
+        _write_sidecar(
+            args, out, [args.html_file], segments=len(series.points), mode=args.mode
         )
-    if args.json:
-        _print_json(
-            {
-                "document_id": series.document_id,
-                "estimator": series.estimator_id,
-                "segments": len(series.points),
-                "outputs": [str(o) for o in outputs],
-            }
-        )
-    else:
-        print(
-            "%s: %d segments scored with %s"
-            % (series.document_id, len(series.points), series.estimator_id)
-        )
-        for out in outputs:
-            print("  wrote %s" % out)
-    return EXIT_OK
+    payload = {
+        "document_id": series.document_id,
+        "estimator": series.estimator_id,
+        "segments": len(series.points),
+        "outputs": [str(o) for o in outputs],
+    }
+    text = "%s: %d segments scored with %s\n" % (
+        series.document_id, len(series.points), series.estimator_id
+    )
+    return payload, text + "".join("  wrote %s\n" % out for out in outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aldikit",
         description="Build, score, and evaluate Arabic level-of-dialectness data.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=_version_string())
     sub = parser.add_subparsers(dest="command", required=True)
@@ -458,10 +406,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
-        return args.func(args)
+        payload, text = args.func(args)
+        if getattr(args, "json", False):
+            text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
+            text += "\n"
+        print(text, end="")
+        return EXIT_OK
     except ProtocolError as exc:
         print("protocol error: %s" % exc, file=sys.stderr)
         return EXIT_PROTOCOL

@@ -350,22 +350,21 @@ def test_criterion_7_determinism(tmp_path, monkeypatch):
     with criterion(7, "byte-identical rebuilds", budget_seconds=30.0):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         rows_file = _rows_fixture(tmp_path)
-        outputs = {}
-        for name in ("one", "two"):
-            out_dir = tmp_path / name
+        # the manifest records the argv, so both runs write the same directory
+        out_dir = tmp_path / "out"
+        outputs = []
+        for _ in range(2):
             code = cli.main(
                 ["build-dataset", str(rows_file), "--seed", "42", "-o", str(out_dir)]
             )
             assert code == 0
-            outputs[name] = {
-                p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
-            }
-        assert set(outputs["one"]) == {
+            outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+        assert set(outputs[0]) == {
             "dataset.tsv", "discarded.tsv", "split_assignment.tsv",
             "stats.json", "stats.txt", "manifest.json",
         }
-        # same seed, rerun: identical bytes everywhere
-        assert outputs["one"] == outputs["two"]
+        # same seed, rerun over the first run's files: identical bytes everywhere
+        assert outputs[0] == outputs[1]
 
 
 def test_criterion_8_case_study_plumbing():

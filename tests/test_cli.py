@@ -30,6 +30,17 @@ def test_version_flag(capsys):
     assert "formats:" in out
 
 
+def test_version_is_one_line_at_any_width(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "40")
+    with pytest.raises(SystemExit) as excinfo:
+        run(["--version"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out == (
+        "aldikit 0.1.0 (formats: annotation-rows=v1, dataset=v1, lexicon=v1, "
+        "manifest=v1)\n"
+    )
+
+
 def test_ingest_fixture(hit_file, tmp_path, capsys):
     out = tmp_path / "rows.tsv"
     assert run(["ingest", hit_file, "-o", out]) == 0
@@ -631,3 +642,153 @@ def test_score_batch_size_needs_external_estimator(tmp_path, capsys):
     )
     assert code == 2
     assert "--batch-size" in capsys.readouterr().err
+
+
+# Every subcommand in text mode with its exact stdout, run in order from the
+# directory the chain_dir fixture fills.
+_LEXICON = ["--estimator", "lexicon", "--lexicon", "lex.txt"]
+_PAIRS = [
+    str(DATA_DIR / "contrastive_pairs_egy.tsv"),
+    "--lexicon", str(DATA_DIR / "contrastive_lexicon.txt"),
+]
+CHAIN = [
+    (
+        ["ingest", "hits.tsv", "-o", "ingested.tsv"],
+        "ingested 2 HITs -> 24 rows (ingested.tsv)\n  AlGhad    24\n",
+    ),
+    (
+        ["ingest", "mixed.tsv", "--lenient", "-o", "mixed_rows.tsv"],
+        "ingested 1 HITs -> 12 rows (mixed_rows.tsv)\n  AlGhad    12\n"
+        "  skipped 1 malformed line(s)\n",
+    ),
+    (
+        ["build-dataset", "rows.tsv", "--seed", "5", "-o", "out"],
+        "built dataset: 24 kept, 1 discarded -> out\n",
+    ),
+    (
+        ["agreement", "rows.tsv"],
+        "items with 3 usable annotations: 24\n"
+        "ratings:                         72\n"
+        "Fleiss kappa:                    0.000000\n"
+        "Krippendorff alpha (interval):   0.058712\n",
+    ),
+    (
+        ["build-lexicon", "corpus.txt", "-o", "lex.txt"],
+        "lexicon: kept 3 of 3 distinct tokens (min_count=2) -> lex.txt\n",
+    ),
+    (["score", *_LEXICON, "--sentences", "sent.txt"], "1\t0.500000\n2\t0.000000\n"),
+    (
+        ["score", *_LEXICON, "--sentences", "sent.txt", "-o", "scores.tsv"],
+        "scored 2 sentences -> scores.tsv\n",
+    ),
+    (
+        ["score", *_LEXICON, "--from-dataset", "out/dataset.tsv", "-o", "preds.tsv"],
+        "scored 24 sentences -> preds.tsv\n",
+    ),
+    (
+        ["evaluate", "--gold", "out/dataset.tsv", "--pred", "preds.tsv"],
+        "subset          n  rmse\ncontrol         0  -\n"
+        "comment        24  0.808901\nall            24  0.808901\n",
+    ),
+    (["dprime", "--a", "scores.tsv", "--b", "preds.tsv"], "3.000000\n"),
+    (
+        ["contrastive", *_PAIRS],
+        "feature_id\tword_order\tlexicon:MSA\tlexicon:EGY\tflags\n"
+        + "".join(
+            "%s\t%s\t0.000000\t%s\t\n" % row
+            for row in [
+                ("F1", "VSO", "0.333333"), ("F1", "SVO", "0.333333"),
+                ("F2", "VSO", "0.333333"), ("F2", "SVO", "0.333333"),
+                ("F3", "VO", "0.500000"), ("F3", "OV", "0.500000"),
+                ("F4", "VSO", "0.333333"), ("F4", "SVO", "0.333333"),
+                ("F5", "VSO", "0.500000"),
+            ]
+        ),
+    ),
+    (
+        ["contrastive", *_PAIRS, "-o", "matrix.tsv"],
+        "wrote 9 matrix rows -> matrix.tsv\n",
+    ),
+    (
+        ["speech", "speech.html", "--mode", "p", *_LEXICON,
+         "-o", "series.csv", "--plot", "series.svg"],
+        "speech: 3 segments scored with lexicon\n  wrote series.csv\n"
+        "  wrote series.svg\n",
+    ),
+]
+
+
+@pytest.fixture
+def chain_dir(hit_file, tmp_path, monkeypatch):
+    """The inputs of CHAIN in tmp_path, which becomes the working directory."""
+    monkeypatch.chdir(tmp_path)
+    Path("mixed.tsv").write_text(make_hit_line() + "\nnot a hit\n", encoding="utf-8")
+    make_rows_fixture(tmp_path)
+    Path("corpus.txt").write_text("كلمة أولى كلمة\nثانية أولى ثانية\n", encoding="utf-8")
+    Path("sent.txt").write_text("كلمة مجهولة\nأولى ثانية\n", encoding="utf-8")
+    Path("speech.html").write_text(
+        "<p>أولى ثانية</p><p>كلمة مجهولة</p><p>غريبة تماما</p>", encoding="utf-8"
+    )
+    return tmp_path
+
+
+def test_text_stdout_of_every_subcommand(chain_dir, capsys):
+    for argv, expected in CHAIN:
+        assert run(argv) == 0, argv
+        assert capsys.readouterr().out == expected, argv
+
+
+def test_manifests_record_the_argv_main_parsed(chain_dir, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["pytest", "-q", "tests/"])
+    for argv, _ in CHAIN:
+        assert run(argv) == 0, argv
+    for argv, _ in CHAIN:
+        if "-o" in argv:
+            out = argv[argv.index("-o") + 1]
+            path = (
+                Path(out, "manifest.json") if argv[0] == "build-dataset"
+                else Path(out + ".manifest.json")
+            )
+            assert json.loads(path.read_text(encoding="utf-8"))["command"] == argv
+
+
+@pytest.mark.parametrize(
+    "step",
+    [i for i, (argv, _) in enumerate(CHAIN) if argv[0] != "score"],
+    ids=lambda i: "%d-%s" % (i, CHAIN[i][0][0]),
+)
+def test_json_stdout_is_one_document(chain_dir, capsys, step):
+    for argv, _ in CHAIN[:step]:
+        assert run(argv) == 0, argv
+    capsys.readouterr()
+    assert run(CHAIN[step][0] + ["--json"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)  # raises on anything before or after the document
+    canonical = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
+    assert out == canonical + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["score", "--estimator", "lexicon", "--sentences", "in.txt"], "\n  \n"),
+        (
+            ["score", "--estimator", "lexicon", "--from-dataset", "in.txt"],
+            "\t".join(dataset_mod.DATASET_HEADER) + "\n",
+        ),
+        (["contrastive", "in.txt"], "feature_id\tvariant\tword_order\tgender\ttext\n"),
+    ],
+    ids=["score-sentences", "score-from-dataset", "contrastive"],
+)
+def test_empty_input_exits_2_before_any_output(
+    tmp_path, monkeypatch, capsys, argv, content
+):
+    monkeypatch.chdir(tmp_path)
+    Path("in.txt").write_text(content, encoding="utf-8")
+    lexicon = ["--lexicon", str(DATA_DIR / "contrastive_lexicon.txt")]
+    assert run(argv + lexicon + ["-o", "result.tsv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "in.txt contains no" in captured.err
+    assert not Path("result.tsv").exists()
+    assert not Path("result.tsv.manifest.json").exists()
