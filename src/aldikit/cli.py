@@ -414,6 +414,8 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "json", False):
             text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
             text += "\n"
+        if text and sys.stdout is None:
+            raise OSError("stdout is closed")
         print(text, end="")
         return EXIT_OK
     except ProtocolError as exc:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import subprocess
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,15 +70,27 @@ def build_lexicon(
     corpus: Iterable[str], min_occurrences: int = 2
 ) -> tuple[Lexicon, Counter]:
     """Count normalized tokens over corpus lines; keep those with
-    frequency >= min_occurrences. Returns (lexicon, full counts)."""
+    frequency >= min_occurrences. Returns (lexicon, full counts).
+
+    Raises FormatError when no token is kept: an empty lexicon would score
+    every sentence as fully dialectal."""
     if min_occurrences < 1:
         raise FormatError("min_occurrences must be >= 1")
-    counts: Counter = Counter()
+    # tokenize(text) is the concatenation of tokenize(word) over text.split(),
+    # so count words first and tokenize each distinct word once
+    words: Counter = Counter()
     for line in corpus:
-        counts.update(textnorm.tokenize(textnorm.normalize(line)))
+        words.update(textnorm.normalize(line).split())
+    counts: Counter = Counter()
+    for word, n in words.items():
+        for token in textnorm.tokenize(word):
+            counts[token] += n
     kept = frozenset(t for t, c in counts.items() if c >= min_occurrences)
-    if not counts:
-        warnings.warn("empty corpus produced an empty lexicon", stacklevel=2)
+    if not kept:
+        raise FormatError(
+            "no token occurs at least %d times (%d distinct tokens seen)"
+            % (min_occurrences, len(counts))
+        )
     return Lexicon(kept, min_occurrences), counts
 
 
@@ -114,6 +125,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
             if not line:
                 continue
             tokens.add(line.split("\t", 1)[0])
+    if not tokens:
+        raise FormatError("%s: lexicon holds no tokens" % path)
     return Lexicon(frozenset(tokens), min_count)
 
 

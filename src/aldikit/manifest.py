@@ -3,7 +3,8 @@
 A manifest records the command line, sha256 digests of every input file,
 the seed when one was used, the tool version, and a timestamp. The
 timestamp honors SOURCE_DATE_EPOCH so reproducible runs produce
-byte-identical manifests.
+byte-identical manifests. A rerun that would write identical bytes leaves
+the file, and its mtime, as they are.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ def write_manifest(
     seed: int | None = None,
     extra: dict | None = None,
 ) -> dict:
+    """Write the manifest of one run to ``out_path`` and return it.
+
+    When ``out_path`` already holds exactly these bytes, it is not opened
+    for writing: truncating a file that holds blocks costs far more than
+    reading it. Reruns hit this only under SOURCE_DATE_EPOCH; without it
+    the timestamp moves and the file is rewritten.
+    """
     manifest = {
         "command": command,
         "inputs": {str(p): file_digest(p) for p in inputs},
@@ -54,7 +62,15 @@ def write_manifest(
     }
     if extra:
         manifest.update(extra)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
+    data = json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2)
+    data = (data + "\n").encode("utf-8")
+    # one byte past the end tells a longer file from an equal one
+    try:
+        with open(out_path, "rb") as fh:
+            if fh.read(len(data) + 1) == data:
+                return manifest
+    except OSError:
+        pass
+    with open(out_path, "wb") as fh:
+        fh.write(data)
     return manifest

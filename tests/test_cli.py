@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +16,8 @@ from aldikit.pipeline import read_score_file, run_build_dataset, run_ingest
 
 from conftest import make_hit_line, make_row, write_rows_file
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "aldikit" / "data"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+DATA_DIR = SRC_DIR / "aldikit" / "data"
 
 
 def run(argv):
@@ -274,6 +277,41 @@ def test_build_lexicon_and_score(tmp_path, capsys):
     lines = scores.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "1\t0.500000"
     assert lines[1] == "2\t0.000000"
+
+
+def test_empty_lexicon_exits_2_and_is_not_scored(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("empty.txt").write_text("", encoding="utf-8")
+    assert run(["build-lexicon", "empty.txt", "-o", "lex.txt"]) == 2
+    assert "at least 2 times" in capsys.readouterr().err
+    assert not Path("lex.txt").exists()
+    assert not Path("lex.txt.manifest.json").exists()
+    # a header-only lexicon, as an older build-lexicon wrote for this corpus
+    Path("lex.txt").write_text("#aldi-lexicon v1 min_count=2\n", encoding="utf-8")
+    Path("sent.txt").write_text("كلمة مجهولة\n", encoding="utf-8")
+    argv = ["score", "--estimator", "lexicon", "--lexicon", "lex.txt"]
+    assert run(argv + ["--sentences", "sent.txt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lex.txt: lexicon holds no tokens" in captured.err
+
+
+def test_closed_stdout_exits_1(tmp_path):
+    sentences = tmp_path / "sent.txt"
+    sentences.write_text("كلمة مجهولة\n", encoding="utf-8")
+    command = [
+        sys.executable, "-m", "aldikit.cli", "score", "--estimator", "lexicon",
+        "--lexicon", str(DATA_DIR / "contrastive_lexicon.txt"),
+        "--sentences", str(sentences),
+    ]
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", *command],
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert b"i/o error: stdout is closed" in proc.stderr
 
 
 def test_score_cmi_from_tags(tmp_path):
@@ -738,18 +776,68 @@ def test_text_stdout_of_every_subcommand(chain_dir, capsys):
         assert capsys.readouterr().out == expected, argv
 
 
+def _manifest_paths(argv):
+    """The manifests a CHAIN command writes: one per -o or --plot output."""
+    if argv[0] == "build-dataset":
+        return [Path(argv[argv.index("-o") + 1], "manifest.json")]
+    return [
+        Path(value + ".manifest.json")
+        for flag, value in zip(argv, argv[1:])
+        if flag in ("-o", "--plot")
+    ]
+
+
 def test_manifests_record_the_argv_main_parsed(chain_dir, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["pytest", "-q", "tests/"])
     for argv, _ in CHAIN:
         assert run(argv) == 0, argv
     for argv, _ in CHAIN:
-        if "-o" in argv:
-            out = argv[argv.index("-o") + 1]
-            path = (
-                Path(out, "manifest.json") if argv[0] == "build-dataset"
-                else Path(out + ".manifest.json")
-            )
+        for path in _manifest_paths(argv):
             assert json.loads(path.read_text(encoding="utf-8"))["command"] == argv
+
+
+_OLD_NS = 10**18  # an mtime in 2001, long before any rerun
+
+
+@pytest.mark.parametrize(
+    "step",
+    [i for i, (argv, _) in enumerate(CHAIN) if _manifest_paths(argv)],
+    ids=lambda i: "%d-%s" % (i, CHAIN[i][0][0]),
+)
+def test_identical_manifest_is_left_untouched(chain_dir, monkeypatch, step):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    for argv, _ in CHAIN[: step + 1]:
+        assert run(argv) == 0, argv
+    argv = CHAIN[step][0]
+    paths = _manifest_paths(argv)
+    for path in paths:
+        os.utime(path, ns=(_OLD_NS, _OLD_NS))
+    first = {path: (path.stat().st_ino, path.read_bytes()) for path in paths}
+    assert run(argv) == 0
+    for path in paths:
+        stat = path.stat()
+        assert (stat.st_mtime_ns, stat.st_ino, path.read_bytes()) == (
+            _OLD_NS, *first[path]
+        )
+
+    # a new timestamp rewrites every manifest with the new bytes
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "86400")
+    assert run(argv) == 0
+    expected = {}
+    for path in paths:
+        _, old_bytes = first[path]
+        expected[path] = old_bytes.replace(
+            b'"1970-01-01T00:00:00Z"', b'"1970-01-02T00:00:00Z"'
+        )
+        assert expected[path] != old_bytes
+        assert path.read_bytes() == expected[path]
+        # the new bytes followed by junk are not a match
+        path.write_bytes(expected[path] + b"junk")
+        os.utime(path, ns=(_OLD_NS, _OLD_NS))
+    assert run(argv) == 0
+    for path in paths:
+        assert path.read_bytes() == expected[path]
+        assert path.stat().st_mtime_ns != _OLD_NS
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 import random
 import sys
-import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,6 +21,7 @@ from aldikit.estimators import (
     read_token_tag_file,
     save_lexicon,
 )
+from aldikit.textnorm import normalize, tokenize
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "aldikit" / "data"
 
@@ -40,12 +41,53 @@ def test_build_lexicon_threshold_one():
     assert lex.tokens == frozenset({"a", "b"})
 
 
-def test_build_lexicon_empty_corpus_warns():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        lex, _ = build_lexicon([], min_occurrences=2)
-    assert len(lex) == 0
-    assert any("empty corpus" in str(w.message) for w in caught)
+@pytest.mark.parametrize(
+    "corpus, message",
+    [
+        ([], "at least 2 times (0 distinct tokens seen)"),
+        (["  \u064e\u0640 ", ""], "at least 2 times (0 distinct tokens seen)"),
+        (["a b", "c"], "at least 2 times (3 distinct tokens seen)"),
+    ],
+    ids=["empty", "no-tokens", "all-below-threshold"],
+)
+def test_build_lexicon_empty_corpus_raises(corpus, message):
+    with pytest.raises(FormatError) as excinfo:
+        build_lexicon(corpus, min_occurrences=2)
+    assert message in str(excinfo.value)
+
+
+# Words repeat across lines so counts exceed 1; every class tokenize and
+# normalize tell apart occurs inside them.
+_WORD_PARTS = [
+    "كتب", "الوزير", "جدا", "\u064e", "\u0651", "\u0652", "\u0640", "\u0640\u0640",
+    "...", "؟؟", "!", "،", "«", "»", "%", "-", "abc", "Zamalek", "7", "١٩",
+    "e\u0301",
+]
+_SPACES = [" ", "  ", "\t", "\u00a0", "\u3000"]
+
+
+def test_build_lexicon_counts_match_token_oracle_random():
+    rng = random.Random(20231023)
+    vocab = [
+        "".join(rng.choice(_WORD_PARTS) for _ in range(rng.randrange(1, 4)))
+        for _ in range(40)
+    ]
+    for _ in range(200):
+        lines = [
+            "".join(
+                rng.choice(vocab) + rng.choice(_SPACES)
+                for _ in range(rng.randrange(0, 12))
+            )
+            for _ in range(rng.randrange(0, 8))
+        ]
+        expected = Counter(t for line in lines for t in tokenize(normalize(line)))
+        if not expected:
+            with pytest.raises(FormatError):
+                build_lexicon(lines, min_occurrences=1)
+            continue
+        lex, counts = build_lexicon(lines, min_occurrences=1)
+        assert counts == expected
+        assert lex.tokens == frozenset(expected)
 
 
 def test_build_lexicon_normalizes_tokens():
@@ -62,6 +104,13 @@ def test_lexicon_roundtrip(tmp_path):
     assert loaded.min_count == 2
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "#aldi-lexicon v1 min_count=2"
+
+
+def test_load_lexicon_rejects_header_only_file(tmp_path):
+    path = tmp_path / "lex.txt"
+    path.write_text("#aldi-lexicon v1 min_count=2\n\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="no tokens"):
+        load_lexicon(path)
 
 
 def test_load_lexicon_rejects_other_files(tmp_path):
