@@ -24,7 +24,7 @@ from . import pipeline
 from . import speech as speech_mod
 from . import svgplot
 from .errors import AldiError, FormatError, ProtocolError
-from .manifest import write_manifest
+from .manifest import write_output, write_sidecar
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -93,10 +93,6 @@ def _make_estimator(args):
 # Subcommand handlers
 
 
-def _write_sidecar(args, out, inputs: list, **extra) -> None:
-    write_manifest(str(out) + ".manifest.json", args.argv, inputs, extra=extra)
-
-
 def _cmd_ingest(args):
     summary = pipeline.run_ingest(
         args.hit_file,
@@ -143,8 +139,9 @@ def _cmd_build_lexicon(args):
     with open(args.corpus, encoding="utf-8") as fh:
         lexicon, counts = est_mod.build_lexicon(fh, min_occurrences=args.min_count)
     est_mod.save_lexicon(lexicon, args.output, counts if args.counts else None)
-    _write_sidecar(
-        args, args.output, [args.corpus], tokens=len(lexicon), min_count=args.min_count
+    write_sidecar(
+        args.output, args.argv, [args.corpus],
+        tokens=len(lexicon), min_count=args.min_count,
     )
     payload = {
         "tokens": len(lexicon),
@@ -179,10 +176,9 @@ def _cmd_score(args):
     table = "".join("%d\t%s\n" % (i, fmt(s)) for i, s in enumerate(scores, start=1))
     if not args.output:
         return None, table
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(table)
-    _write_sidecar(
-        args, args.output, [source_path],
+    write_output(args.output, [table])
+    write_sidecar(
+        args.output, args.argv, [source_path],
         estimator=estimator.estimator_id, scores=len(scores),
     )
     return None, "scored %d sentences -> %s\n" % (len(scores), args.output)
@@ -277,9 +273,8 @@ def _cmd_contrastive(args):
     }
     if not args.output:
         return payload, table
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(table)
-    _write_sidecar(args, args.output, [args.pairs_file], rows=len(rows))
+    write_output(args.output, [table])
+    write_sidecar(args.output, args.argv, [args.pairs_file], rows=len(rows))
     return payload, "wrote %d matrix rows -> %s\n" % (len(rows), args.output)
 
 
@@ -292,15 +287,15 @@ def _cmd_speech(args):
     fmt = _score_formatter(args.full_precision)
     outputs = []
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            speech_mod.write_series_csv(series, fh, score_fmt=fmt)
+        speech_mod.write_series_csv(series, args.output, fmt)
         outputs.append(args.output)
     if args.plot:
         svgplot.emit_plot(series, args.plot)
         outputs.append(args.plot)
     for out in outputs:
-        _write_sidecar(
-            args, out, [args.html_file], segments=len(series.points), mode=args.mode
+        write_sidecar(
+            out, args.argv, [args.html_file],
+            segments=len(series.points), mode=args.mode,
         )
     payload = {
         "document_id": series.document_id,
@@ -416,7 +411,11 @@ def main(argv: list[str] | None = None) -> int:
             text += "\n"
         if text and sys.stdout is None:
             raise OSError("stdout is closed")
-        print(text, end="")
+        try:
+            print(text, end="")
+        except UnicodeEncodeError:
+            # a lone surrogate from a path, on a stdout that cannot carry it
+            print(text.encode("utf-8", "backslashreplace").decode("utf-8"), end="")
         return EXIT_OK
     except ProtocolError as exc:
         print("protocol error: %s" % exc, file=sys.stderr)

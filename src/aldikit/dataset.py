@@ -463,7 +463,8 @@ def _spread(values: Sequence[str]) -> tuple[str, str, str]:
 
 
 def dataset_lines(groups: Sequence[CommentGroup]) -> Iterable[str]:
-    yield "\t".join(DATASET_HEADER)
+    """The lines of dataset.tsv, each ending in a newline."""
+    yield "\t".join(DATASET_HEADER) + "\n"
     ordered = sorted(groups, key=lambda g: (g.source, g.article_id, g.canonical_text))
     for g in ordered:
         levels = _spread(g.levels)
@@ -479,11 +480,11 @@ def dataset_lines(groups: Sequence[CommentGroup]) -> Iterable[str]:
                 format_thirds(*g.aldi) if g.aldi is not None else "",
                 g.split or "",
             )
-        )
+        ) + "\n"
 
 
 def discarded_lines(discarded: Sequence[CommentGroup]) -> Iterable[str]:
-    yield "\t".join(DISCARDED_HEADER)
+    yield "\t".join(DISCARDED_HEADER) + "\n"
     ordered = sorted(
         discarded, key=lambda g: (g.source, g.article_id, g.canonical_text)
     )
@@ -497,15 +498,15 @@ def discarded_lines(discarded: Sequence[CommentGroup]) -> Iterable[str]:
                 ";".join(g.levels),
                 g.raw_text.replace("\t", " ").replace("\n", " "),
             )
-        )
+        ) + "\n"
 
 
 def assignment_lines(groups: Sequence[CommentGroup]) -> Iterable[str]:
-    yield "source\tarticle_id\tsplit"
+    yield "source\tarticle_id\tsplit\n"
     seen = set()
     for g in sorted(groups, key=lambda g: (g.source, g.article_id)):
         key = (g.source, g.article_id)
         if key in seen or g.split is None:
             continue
         seen.add(key)
-        yield "%s\t%s\t%s" % (g.source, g.article_id, g.split)
+        yield "%s\t%s\t%s\n" % (g.source, g.article_id, g.split)

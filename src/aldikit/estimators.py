@@ -23,11 +23,13 @@ import math
 import subprocess
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import textnorm
 from .errors import FormatError, ProtocolError
+from .manifest import write_output
 
 TOKEN_TAGS = ("MSA", "EGY", "NamedEntity", "Ambiguous", "Mixed", "Other")
 
@@ -98,13 +100,13 @@ def save_lexicon(
     lexicon: Lexicon, path: str | Path, counts: Counter | None = None
 ) -> None:
     """One sorted token per line, optional tab-separated count, v1 header."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("%s min_count=%d\n" % (LEXICON_MAGIC, lexicon.min_count))
-        for token in sorted(lexicon.tokens):
-            if counts is not None:
-                fh.write("%s\t%d\n" % (token, counts[token]))
-            else:
-                fh.write(token + "\n")
+    header = "%s min_count=%d\n" % (LEXICON_MAGIC, lexicon.min_count)
+    tokens = sorted(lexicon.tokens)
+    if counts is None:
+        lines = (token + "\n" for token in tokens)
+    else:
+        lines = ("%s\t%d\n" % (token, counts[token]) for token in tokens)
+    write_output(path, chain([header], lines))
 
 
 def load_lexicon(path: str | Path) -> Lexicon:

@@ -16,10 +16,12 @@ annotation's level and dialect labels, never the rows themselves.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import FormatError
+from .manifest import write_output
 
 LEVELS = ("MSA", "Little", "Mixed", "Most", "NotArabic", "Missing")
 DIALECTS = ("EGY", "LEV", "GLF", "MAG", "IRQ", "GEN", "Unfamiliar", "Other")
@@ -347,14 +349,10 @@ def format_row(r: AnnotationRow) -> str:
     )
 
 
-def write_rows(rows: Iterable[AnnotationRow], fh: TextIO) -> int:
-    """Write annotation rows as TSV with a header; returns the row count."""
-    fh.write("\t".join(ROWS_HEADER) + "\n")
-    count = 0
-    for r in rows:
-        fh.write(format_row(r) + "\n")
-        count += 1
-    return count
+def write_rows(rows: Iterable[AnnotationRow], path: str | Path) -> None:
+    """Stream annotation rows into ``path`` as TSV with a header."""
+    header = "\t".join(ROWS_HEADER) + "\n"
+    write_output(path, chain([header], (format_row(r) + "\n" for r in rows)))
 
 
 _NATIVE_CELLS = {"yes": True, "no": False, "": None}

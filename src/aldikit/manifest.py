@@ -1,10 +1,15 @@
-"""Run manifests: enough metadata to audit and replay any command.
+"""Output files and run manifests.
+
+Every file aldikit writes goes through :func:`write_output`: UTF-8, the
+newlines its chunks hold, streamed, and lone surrogates from non-UTF-8
+paths written as ``\\udcXX`` escapes.
 
 A manifest records the command line, sha256 digests of every input file,
 the seed when one was used, the tool version, and a timestamp. The
 timestamp honors SOURCE_DATE_EPOCH so reproducible runs produce
-byte-identical manifests. A rerun that would write identical bytes leaves
-the file, and its mtime, as they are.
+byte-identical manifests, and a manifest file that already holds exactly
+those bytes is left alone, mtime and inode too. A single output ``<out>``
+gets its manifest beside it, as ``<out>.manifest.json``.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import json
 import os
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .errors import FormatError
@@ -25,6 +31,14 @@ def file_digest(path: str | Path) -> str:
         for block in iter(lambda: fh.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+def write_output(path: str | Path, chunks: Iterable[str]) -> None:
+    """Stream ``chunks`` into ``path`` as UTF-8, never joining them."""
+    # a lone surrogate, which only an OS string such as a path holds,
+    # becomes a \udcXX escape
+    with open(path, "w", encoding="utf-8", errors="backslashreplace", newline="\n") as fh:
+        fh.writelines(chunks)
 
 
 def _timestamp() -> str:
@@ -44,9 +58,9 @@ def write_manifest(
     command: list[str],
     inputs: list[str | Path],
     seed: int | None = None,
-    extra: dict | None = None,
-) -> dict:
-    """Write the manifest of one run to ``out_path`` and return it.
+    **extra,
+) -> None:
+    """Write the manifest of one run to ``out_path``; ``extra`` adds keys.
 
     When ``out_path`` already holds exactly these bytes, it is not opened
     for writing: truncating a file that holds blocks costs far more than
@@ -59,18 +73,22 @@ def write_manifest(
         "seed": seed,
         "tool_version": __version__,
         "timestamp": _timestamp(),
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    data = json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2)
-    data = (data + "\n").encode("utf-8")
+    text = json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    data = text.encode("utf-8", "backslashreplace")
     # one byte past the end tells a longer file from an equal one
     try:
         with open(out_path, "rb") as fh:
             if fh.read(len(data) + 1) == data:
-                return manifest
+                return
     except OSError:
         pass
-    with open(out_path, "wb") as fh:
-        fh.write(data)
-    return manifest
+    write_output(out_path, [text])
+
+
+def write_sidecar(
+    out_path: str | Path, command: list[str], inputs: list[str | Path], **extra
+) -> None:
+    """Write the manifest of the single output ``out_path`` beside it."""
+    write_manifest(str(out_path) + ".manifest.json", command, inputs, **extra)

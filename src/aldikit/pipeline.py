@@ -1,8 +1,9 @@
 """High-level drivers shared by the CLI and the test suite.
 
 Each run_* function performs one subcommand's work: read inputs, call the
-library, write every output file (plus a manifest), and return a summary
-dict suitable for --json printing.
+library, write every output file (plus a manifest) through
+``manifest.write_output``, and return a summary dict suitable for --json
+printing. Rows and dataset lines are streamed into their files.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import agreement as agreement_mod
 from . import dataset as dataset_mod
 from . import ingest as ingest_mod
 from .errors import FormatError
-from .manifest import write_manifest
+from .manifest import write_manifest, write_output, write_sidecar
 
 
 def run_ingest(
@@ -42,15 +43,12 @@ def run_ingest(
             per_source.update(row.source for row in hit)
             yield from hit
 
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        row_count = ingest_mod.write_rows(rows(), fh)
+    ingest_mod.write_rows(rows(), out_path)
+    row_count = sum(per_source.values())
     hit_count = row_count // ingest_mod.SENTENCES_PER_HIT  # every hit is 12 rows
     inputs = [hit_path] + ([column_map_path] if column_map_path else [])
-    write_manifest(
-        str(out_path) + ".manifest.json",
-        list(command or []),
-        inputs,
-        extra={"hits": hit_count, "rows": row_count},
+    write_sidecar(
+        out_path, list(command or []), inputs, hits=hit_count, rows=row_count
     )
     return {
         "hits": hit_count,
@@ -108,21 +106,19 @@ def run_build_dataset(
     stats["key_mode"] = key_mode
     stats["seed"] = seed
 
-    _write_lines(out_dir / "dataset.tsv", dataset_mod.dataset_lines(kept))
-    _write_lines(out_dir / "discarded.tsv", dataset_mod.discarded_lines(discarded))
-    _write_lines(out_dir / "split_assignment.tsv", dataset_mod.assignment_lines(kept))
-    with open(out_dir / "stats.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(stats, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(out_dir / "stats.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dataset_mod.render_stats_text(stats))
+    write_output(out_dir / "dataset.tsv", dataset_mod.dataset_lines(kept))
+    write_output(out_dir / "discarded.tsv", dataset_mod.discarded_lines(discarded))
+    write_output(out_dir / "split_assignment.tsv", dataset_mod.assignment_lines(kept))
+    stats_json = json.dumps(stats, ensure_ascii=False, sort_keys=True, indent=2)
+    write_output(out_dir / "stats.json", [stats_json + "\n"])
+    write_output(out_dir / "stats.txt", [dataset_mod.render_stats_text(stats)])
     inputs = [rows_path] + ([assignment_path] if assignment_path else [])
     write_manifest(
         out_dir / "manifest.json",
         list(command or []),
         inputs,
         seed=seed,
-        extra={"key_mode": key_mode},
+        key_mode=key_mode,
     )
     return {
         "groups": stats["groups"],
@@ -130,12 +126,6 @@ def run_build_dataset(
         "discarded": len(discarded),
         "output_dir": str(out_dir),
     }
-
-
-def _write_lines(path: Path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
 
 
 def run_agreement(rows_path: str | Path) -> dict:

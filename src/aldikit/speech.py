@@ -8,14 +8,17 @@ Two segmentation modes match how transcript sites lay out their text:
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 from html.parser import HTMLParser
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Sequence
 
 from . import textnorm
 from .errors import FormatError
+from .manifest import write_output
 
 _SKIP_CONTENT = ("script", "style")
 
@@ -147,10 +150,20 @@ def score_series(
 
 
 def write_series_csv(
-    series: ScoreSeries, fh: TextIO, score_fmt: Callable[[float], str]
+    series: ScoreSeries, path: str | Path, score_fmt: Callable[[float], str]
 ) -> None:
     """One CSV row per point; ``score_fmt`` renders each score."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["index", "score", "di_label", "sentence"])
-    for point in series.points:
-        writer.writerow([point.index, score_fmt(point.aldi), point.di_label or "", point.sentence])
+
+    def lines():
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        rows = (
+            [p.index, score_fmt(p.aldi), p.di_label or "", p.sentence] for p in series.points
+        )
+        for row in chain([["index", "score", "di_label", "sentence"]], rows):
+            writer.writerow(row)
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+
+    write_output(path, lines())

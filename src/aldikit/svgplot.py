@@ -10,6 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import FormatError
+from .manifest import write_output
 from .speech import ScoreSeries
 
 WIDTH = 800
@@ -121,6 +122,4 @@ def render_svg(series: ScoreSeries) -> str:
 
 def emit_plot(series: ScoreSeries, out_path: str | Path) -> None:
     """Write the scatter plot; byte-identical for identical series."""
-    svg = render_svg(series)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+    write_output(out_path, [render_svg(series)])

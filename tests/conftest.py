@@ -68,8 +68,7 @@ def default_cmap() -> ingest.ColumnMapConfig:
 
 def write_rows_file(tmp_path, rows) -> Path:
     path = tmp_path / "rows.tsv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        ingest.write_rows(rows, fh)
+    ingest.write_rows(rows, path)
     return path
 
 

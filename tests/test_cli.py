@@ -126,6 +126,22 @@ def test_ingest_structural_error_strict_vs_lenient(tmp_path, capsys):
     assert run(["ingest", path, "--lenient", "-o", tmp_path / "o.tsv"]) == 0
 
 
+def test_failed_ingest_rerun_leaves_only_the_new_rows(tmp_path, capsys):
+    hits = tmp_path / "hits.tsv"
+    lines = [make_hit_line("hit%d" % i, "w%d" % i) for i in range(1, 6)]
+    hits.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "rows.tsv"
+    assert run(["ingest", hits, "-o", out]) == 0
+    # the rerun input differs in its first line and is malformed in its last
+    lines[0] = make_hit_line("hit1", "w9")
+    lines[-1] = "\t".join(lines[-1].split("\t")[:-6])
+    hits.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["ingest", hits, "--lenient", "-o", tmp_path / "good.tsv"]) == 0
+    assert run(["ingest", hits, "-o", out]) == 2
+    # the rows read before the error, and nothing of the old file after them
+    assert out.read_bytes() == (tmp_path / "good.tsv").read_bytes()
+
+
 def make_rows_fixture(tmp_path):
     rows = []
     for a in range(6):
@@ -838,6 +854,46 @@ def test_identical_manifest_is_left_untouched(chain_dir, monkeypatch, step):
     for path in paths:
         assert path.read_bytes() == expected[path]
         assert path.stat().st_mtime_ns != _OLD_NS
+
+
+@pytest.mark.parametrize("command", ["build-lexicon", "speech"])
+def test_non_utf8_path_is_escaped_in_outputs(chain_dir, capsys, command):
+    # a path byte that is not UTF-8 reaches aldikit as a lone surrogate
+    bad = os.fsdecode(b"\xff")
+    if command == "build-lexicon":
+        argv = ["build-lexicon", "corpus.txt", "-o", "lex%s.txt" % bad, "--json"]
+        manifest = Path("lex%s.txt.manifest.json" % bad)
+        written = Path("lex%s.txt" % bad)
+    else:
+        assert run(["build-lexicon", "corpus.txt", "-o", "lex.txt"]) == 0
+        os.rename("speech.html", "t%s.html" % bad)
+        argv = ["speech", "t%s.html" % bad, "--mode", "p", *_LEXICON,
+                "--plot", "p.svg", "--json"]
+        manifest = Path("p.svg.manifest.json")
+        written = Path("p.svg")
+    capsys.readouterr()
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    json.loads(captured.out)
+    recorded = json.loads(manifest.read_text(encoding="utf-8"))["command"]
+    assert [os.fsencode(a) for a in recorded] == [os.fsencode(a) for a in argv]
+    assert written.stat().st_size > 0
+    if command == "speech":
+        assert "t\\udcff (lexicon)" in written.read_text(encoding="utf-8")
+
+
+def test_non_utf8_path_keeps_its_bytes_on_a_stdout_that_carries_them(chain_dir):
+    # in UTF-8 mode stdout writes lone surrogates back as the original bytes
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8", "-m", "aldikit.cli", "build-lexicon",
+         "corpus.txt", "-o", b"lex\xff.txt"],
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.endswith(b"-> lex\xff.txt\n")
 
 
 @pytest.mark.parametrize(

@@ -379,7 +379,7 @@ def test_dataset_lines_sorted_and_spread():
     small = make_group(["MSA", "MSA", "Little"], text="أصغر")
     small.aldi = aggregate(small)
     small.split = "train"
-    lines = list(dataset.dataset_lines([big, small]))
+    lines = "".join(dataset.dataset_lines([big, small])).splitlines()
     assert lines[0].split("\t") == list(dataset.DATASET_HEADER)
     first = lines[1].split("\t")
     # sorted by canonical text: أصغر < كبير

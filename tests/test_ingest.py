@@ -1,4 +1,3 @@
-import io
 import json
 import random
 import re
@@ -112,14 +111,11 @@ def test_rows_roundtrip_is_byte_stable(tmp_path, hit_file, default_cmap):
     rows = []
     for hit in ingest.parse_hit_file(hit_file, default_cmap):
         rows.extend(hit)
-    first = io.StringIO()
+    first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
     ingest.write_rows(rows, first)
-    path = tmp_path / "rows.tsv"
-    path.write_text(first.getvalue(), encoding="utf-8")
-    reread = list(ingest.read_rows(path))
-    second = io.StringIO()
+    reread = list(ingest.read_rows(first))
     ingest.write_rows(reread, second)
-    assert first.getvalue() == second.getvalue()
+    assert first.read_bytes() == second.read_bytes()
     assert len(reread) == 24
 
 
@@ -186,9 +182,9 @@ def test_column_map_kind_value_and_column():
 
 def test_write_rows_sanitizes_text(tmp_path):
     row = make_row(text="with\ttab and\nnewline")
-    fh = io.StringIO()
-    ingest.write_rows([row], fh)
-    body = fh.getvalue().splitlines()[1]
+    path = tmp_path / "rows.tsv"
+    ingest.write_rows([row], path)
+    body = path.read_text(encoding="utf-8").splitlines()[1]
     assert body.count("\t") == len(ingest.ROWS_HEADER) - 1
 
 

@@ -1,4 +1,3 @@
-import io
 import random
 import re
 import warnings
@@ -136,13 +135,13 @@ def test_score_series_di_label_alignment():
         score_series("doc", ["نص", "نص"], est, di_labels=["MSA"])
 
 
-def test_write_series_csv():
+def test_write_series_csv(tmp_path):
     series = ScoreSeries(
         "doc", "lexicon", (SeriesPoint(1, "جملة", 0.5, "EGY"),)
     )
-    out = io.StringIO()
+    out = tmp_path / "series.csv"
     write_series_csv(series, out, format_score)
-    lines = out.getvalue().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "index,score,di_label,sentence"
     assert lines[1] == "1,0.500000,EGY,جملة"
 
