@@ -9,8 +9,13 @@ Two statistics over level-of-dialectness annotations:
   of ratings per item (items with fewer than two ratings are unpairable
   and ignored).
 
-Sums use math.fsum so corpus-scale runs (hundreds of thousands of pair
-terms) are not at the mercy of accumulation order.
+Both work over the distinct rating tuples and how often each occurs: a
+corpus of 3-rater items on a 4-level scale holds at most 64 distinct
+ordered triples, however many items it has. Each tuple's term is computed
+once, and ``term * count`` is summed exactly as a ``Fraction`` and rounded
+once at the end. That is the correctly rounded sum of the per-item terms,
+which is what ``math.fsum`` over those terms returns, so the result does
+not depend on item order or on how the items are grouped.
 """
 
 from __future__ import annotations
@@ -18,10 +23,16 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
+from fractions import Fraction
 from typing import Hashable, Sequence
 
 from .dataset import CommentGroup, LEVEL_THIRDS
 from .errors import FormatError
+
+
+def _weighted_sum(terms) -> Fraction:
+    """The exact sum of ``term * count`` over ``(term, count)`` pairs."""
+    return sum((Fraction(term) * count for term, count in terms), Fraction(0))
 
 
 def fleiss_kappa(items: Sequence[Sequence[Hashable]]) -> float:
@@ -36,23 +47,25 @@ def fleiss_kappa(items: Sequence[Sequence[Hashable]]) -> float:
     n = len(items[0])
     if n < 2:
         raise FormatError("fleiss_kappa needs at least 2 ratings per item")
-    for i, ratings in enumerate(items):
-        if len(ratings) != n:
-            raise FormatError(
-                "item %d has %d ratings, expected %d (equal rater count required)"
-                % (i, len(ratings), n)
-            )
+    tallies = Counter(map(tuple, items))
+    if any(len(ratings) != n for ratings in tallies):
+        i, ratings = next((i, r) for i, r in enumerate(items) if len(r) != n)
+        raise FormatError(
+            "item %d has %d ratings, expected %d (equal rater count required)"
+            % (i, len(ratings), n)
+        )
 
     category_totals: Counter = Counter()
-    per_item_agreement = []
-    for ratings in items:
+    item_terms = []
+    for ratings, count in tallies.items():
         counts = Counter(ratings)
-        category_totals.update(counts)
+        for category, k in counts.items():
+            category_totals[category] += k * count
         agree_pairs = sum(c * (c - 1) for c in counts.values())
-        per_item_agreement.append(agree_pairs / (n * (n - 1)))
+        item_terms.append((agree_pairs / (n * (n - 1)), count))
 
     total = len(items) * n
-    p_bar = math.fsum(per_item_agreement) / len(items)
+    p_bar = float(_weighted_sum(item_terms)) / len(items)
     p_e = math.fsum((c / total) ** 2 for c in category_totals.values())
     if p_e >= 1.0:
         warnings.warn(
@@ -69,22 +82,28 @@ def krippendorff_alpha_interval(items: Sequence[Sequence[float]]) -> float:
     Disagreement between two values is their squared difference. Items with
     fewer than 2 ratings contribute nothing. Raises if no item is pairable.
     """
-    pairable = [list(map(float, ratings)) for ratings in items if len(ratings) >= 2]
-    if not pairable:
+    tallies = Counter(tuple(ratings) for ratings in items if len(ratings) >= 2)
+    if not tallies:
         raise FormatError("krippendorff alpha is undefined: no pairable values")
 
-    n = sum(len(r) for r in pairable)
+    n = 0
     value_counts: Counter = Counter()
     unit_terms = []
-    for ratings in pairable:
-        value_counts.update(ratings)
+    for ratings, count in tallies.items():
+        ratings = list(map(float, ratings))
+        if not all(map(math.isfinite, ratings)):
+            raise FormatError("krippendorff alpha needs finite values, got %r"
+                              % (ratings,))
         m = len(ratings)
+        n += m * count
+        for value in ratings:
+            value_counts[value] += count
         within = math.fsum(
             (a - b) ** 2 for i, a in enumerate(ratings) for b in ratings[i + 1 :]
         )
         # ordered pairs double the unordered sum
-        unit_terms.append(2.0 * within / (m - 1))
-    d_observed = math.fsum(unit_terms) / n
+        unit_terms.append((2.0 * within / (m - 1), count))
+    d_observed = float(_weighted_sum(unit_terms)) / n
 
     values = sorted(value_counts)
     d_expected = math.fsum(

@@ -4,6 +4,13 @@ Each ``_cmd_*`` handler returns ``(payload, text)``: the dict that ``--json``
 prints and the text printed otherwise. Only ``main`` writes stdout or reads
 ``sys.argv``; it keeps the argv it parsed as ``args.argv`` for the manifests.
 
+At module level this file imports only ``argparse``, ``json``, ``shlex``,
+``sys``, the package and ``errors``. Each handler, and each estimator
+factory, imports the aldikit modules it calls, so ``--version`` loads no
+other aldikit module and a subcommand loads (and, without bytecode caches,
+compiles) only the modules it runs. Keep it that way: a module-level
+import here is paid by every command.
+
 Exit codes: 0 success, 1 I/O failure, 2 format/validation failure,
 3 external-scorer protocol failure.
 """
@@ -14,17 +21,9 @@ import argparse
 import json
 import shlex
 import sys
-from pathlib import Path
 
 from . import FORMAT_VERSIONS, __version__
-from . import dataset as dataset_mod
-from . import estimators as est_mod
-from . import evaluation as eval_mod
-from . import pipeline
-from . import speech as speech_mod
-from . import svgplot
 from .errors import AldiError, FormatError, ProtocolError
-from .manifest import write_output, write_sidecar
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -40,21 +39,30 @@ def _version_string() -> str:
 def _score_formatter(full_precision: bool):
     if full_precision:
         return lambda v: repr(float(v))
-    return dataset_mod.format_score
+    from .dataset import format_score
+
+    return format_score
 
 
-# --estimator kind -> (the flag naming its input, factory(input, batch size));
-# the input is a file, or the scorer command line for "external"
+# --estimator kind -> (the flag naming its input,
+# factory(estimators module, input, batch size)); the input is a file, or the
+# scorer command line for "external"
 _ESTIMATORS = {
-    "lexicon": ("--lexicon", lambda path, _: est_mod.LexiconEstimator(
-        est_mod.load_lexicon(path))),
-    "cmi": ("--tags", lambda path, _: est_mod.PositionalEstimator(
-        "cmi", [[tag for _, tag in s] for s in est_mod.read_token_tag_file(path)])),
-    "binary-di": ("--labels", lambda path, _: est_mod.PositionalEstimator(
-        "binary-di", est_mod.read_label_file(path))),
-    "external": ("--scorer-cmd", lambda command, batch_size: est_mod.ExternalEstimator(
-        tuple(shlex.split(command)), batch_size)),
+    "lexicon": ("--lexicon", lambda est, path, _: est.LexiconEstimator(
+        est.load_lexicon(path))),
+    "cmi": ("--tags", lambda est, path, _: est.PositionalEstimator(
+        "cmi", [[tag for _, tag in s] for s in est.read_token_tag_file(path)])),
+    "binary-di": ("--labels", lambda est, path, _: est.PositionalEstimator(
+        "binary-di", est.read_label_file(path))),
+    "external": ("--scorer-cmd", lambda est, command, batch_size:
+                 est.ExternalEstimator(tuple(shlex.split(command)), batch_size)),
 }
+
+
+def _estimator(kind: str, source: str, batch_size: int | None):
+    from . import estimators
+
+    return _ESTIMATORS[kind][1](estimators, source, batch_size)
 
 
 def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
@@ -80,13 +88,13 @@ def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _make_estimator(args):
-    flag, factory = _ESTIMATORS[args.estimator]
+    flag = _ESTIMATORS[args.estimator][0]
     source = getattr(args, flag[2:].replace("-", "_"))
     if not source:
         raise FormatError("--estimator %s requires %s" % (args.estimator, flag))
     if args.batch_size is not None and args.estimator != "external":
         raise FormatError("--batch-size applies only to --estimator external")
-    return factory(source, args.batch_size)
+    return _estimator(args.estimator, source, args.batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +102,9 @@ def _make_estimator(args):
 
 
 def _cmd_ingest(args):
-    summary = pipeline.run_ingest(
+    from .pipeline import run_ingest
+
+    summary = run_ingest(
         args.hit_file,
         args.output,
         column_map_path=args.column_map,
@@ -110,7 +120,9 @@ def _cmd_ingest(args):
 
 
 def _cmd_build_dataset(args):
-    summary = pipeline.run_build_dataset(
+    from .pipeline import run_build_dataset
+
+    summary = run_build_dataset(
         args.rows_file,
         args.output,
         seed=args.seed,
@@ -125,7 +137,9 @@ def _cmd_build_dataset(args):
 
 
 def _cmd_agreement(args):
-    report = pipeline.run_agreement(args.rows_file)
+    from .pipeline import run_agreement
+
+    report = run_agreement(args.rows_file)
     return report, (
         "items with 3 usable annotations: %(items)d\n"
         "ratings:                         %(ratings)d\n"
@@ -136,6 +150,9 @@ def _cmd_agreement(args):
 
 
 def _cmd_build_lexicon(args):
+    from . import estimators as est_mod
+    from .manifest import write_sidecar
+
     with open(args.corpus, encoding="utf-8") as fh:
         lexicon, counts = est_mod.build_lexicon(fh, min_occurrences=args.min_count)
     est_mod.save_lexicon(lexicon, args.output, counts if args.counts else None)
@@ -155,11 +172,15 @@ def _cmd_build_lexicon(args):
 
 
 def _cmd_score(args):
+    from . import estimators as est_mod
+    from .manifest import write_output, write_sidecar
+    from .pipeline import read_dataset_file
+
     if args.sentences:
         sentences = est_mod.read_label_file(args.sentences)
         source_path = args.sentences
     elif args.from_dataset:
-        rows = pipeline.read_dataset_file(args.from_dataset, ("text",))
+        rows = read_dataset_file(args.from_dataset, ("text",))
         sentences = [text for (text,) in rows]
         source_path = args.from_dataset
     elif args.estimator == "cmi" and args.tags:
@@ -185,8 +206,11 @@ def _cmd_score(args):
 
 
 def _cmd_evaluate(args):
-    rows = pipeline.read_dataset_file(args.gold, ("kind", "aldi", "split"))
-    predictions = pipeline.read_score_file(args.pred)
+    from .evaluation import ScoredPair, rmse_report
+    from .pipeline import read_dataset_file, read_score_file
+
+    rows = read_dataset_file(args.gold, ("kind", "aldi", "split"))
+    predictions = read_score_file(args.pred)
     selected = [
         (row_id, kind, aldi)
         for row_id, (kind, aldi, split) in enumerate(rows, start=1)
@@ -204,14 +228,12 @@ def _cmd_evaluate(args):
             raise FormatError(
                 "%s: row %d has non-numeric aldi %r" % (args.gold, row_id, aldi)
             ) from None
-        pairs.append(
-            eval_mod.ScoredPair(gold=gold, predicted=predictions[row_id], subset=kind)
-        )
+        pairs.append(ScoredPair(gold=gold, predicted=predictions[row_id], subset=kind))
     if args.split is None and len(predictions) != len(selected):
         raise FormatError(
             "%d predictions for %d gold rows" % (len(predictions), len(selected))
         )
-    report = eval_mod.rmse_report(pairs)
+    report = rmse_report(pairs)
     text = "%-8s %8s  %s\n" % ("subset", "n", "rmse")
     for name in ("control", "comment", "all"):
         cell = report[name]
@@ -221,13 +243,17 @@ def _cmd_evaluate(args):
 
 
 def _read_group_scores(path: str) -> list[float]:
-    return [v for _, v in sorted(pipeline.read_score_file(path).items())]
+    from .pipeline import read_score_file
+
+    return [v for _, v in sorted(read_score_file(path).items())]
 
 
 def _cmd_dprime(args):
+    from .evaluation import d_prime
+
     group_a = _read_group_scores(args.a)
     group_b = _read_group_scores(args.b)
-    value = eval_mod.d_prime(group_a, group_b, sample_variance=not args.population)
+    value = d_prime(group_a, group_b, sample_variance=not args.population)
     payload = {
         "d_prime": value,
         "n_a": len(group_a),
@@ -238,6 +264,9 @@ def _cmd_dprime(args):
 
 
 def _cmd_contrastive(args):
+    from . import evaluation as eval_mod
+    from .manifest import write_output, write_sidecar
+
     pairs = eval_mod.read_pairs_file(args.pairs_file)
     if not pairs:
         raise FormatError("%s contains no pairs" % args.pairs_file)
@@ -250,7 +279,7 @@ def _cmd_contrastive(args):
     if args.batch_size is not None and not args.scorer_cmd:
         raise FormatError("--batch-size applies only with --scorer-cmd")
     estimators = [
-        _ESTIMATORS[kind][1](source, args.batch_size)
+        _estimator(kind, source, args.batch_size)
         for kind, source in sources
         if source
     ]
@@ -279,9 +308,16 @@ def _cmd_contrastive(args):
 
 
 def _cmd_speech(args):
+    from pathlib import Path
+
+    from . import speech as speech_mod
+    from .estimators import read_label_file
+    from .manifest import write_sidecar
+    from .svgplot import emit_plot
+
     sentences = speech_mod.segment_html_file(args.html_file, args.mode)
     estimator = _make_estimator(args)
-    di_labels = est_mod.read_label_file(args.di_labels) if args.di_labels else None
+    di_labels = read_label_file(args.di_labels) if args.di_labels else None
     document_id = args.doc_id or Path(args.html_file).stem
     series = speech_mod.score_series(document_id, sentences, estimator, di_labels)
     fmt = _score_formatter(args.full_precision)
@@ -290,7 +326,7 @@ def _cmd_speech(args):
         speech_mod.write_series_csv(series, args.output, fmt)
         outputs.append(args.output)
     if args.plot:
-        svgplot.emit_plot(series, args.plot)
+        emit_plot(series, args.plot)
         outputs.append(args.plot)
     for out in outputs:
         write_sidecar(

@@ -2,7 +2,9 @@
 
 Every file aldikit writes goes through :func:`write_output`: UTF-8, the
 newlines its chunks hold, streamed, and lone surrogates from non-UTF-8
-paths written as ``\\udcXX`` escapes.
+paths written as ``\\udcXX`` escapes. The chunks go to a new file in the
+target's directory, which replaces the target only once the last chunk is
+written, so a run that fails part-way leaves the old output whole.
 
 A manifest records the command line, sha256 digests of every input file,
 the seed when one was used, the tool version, and a timestamp. The
@@ -17,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
@@ -33,12 +36,43 @@ def file_digest(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def write_output(path: str | Path, chunks: Iterable[str]) -> None:
-    """Stream ``chunks`` into ``path`` as UTF-8, never joining them."""
+def _text_file(file):
     # a lone surrogate, which only an OS string such as a path holds,
     # becomes a \udcXX escape
-    with open(path, "w", encoding="utf-8", errors="backslashreplace", newline="\n") as fh:
-        fh.writelines(chunks)
+    return open(file, "w", encoding="utf-8", errors="backslashreplace", newline="\n")
+
+
+def write_output(path: str | Path, chunks: Iterable[str]) -> None:
+    """Stream ``chunks`` into ``path`` as UTF-8, never joining them.
+
+    The chunks go to a new file beside ``path``, created with the mode
+    ``open`` gives a new file, or with the mode of the file it replaces,
+    and ``os.replace`` puts it in place once the stream ends. If the
+    stream raises, the new file is removed and ``path`` keeps its old
+    bytes. A symlink is followed, and a target that is not a regular file
+    (``/dev/null``, a pipe) is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with _text_file(path) as fh:
+            fh.writelines(chunks)
+        return
+    target = os.path.realpath(path)
+    name = ".aldikit-%s.tmp" % os.urandom(8).hex()
+    temp = os.path.join(os.path.dirname(target), name)
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with _text_file(fd) as fh:
+            if os.path.isfile(target):
+                os.chmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
+            fh.writelines(chunks)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _timestamp() -> str:
@@ -62,9 +96,9 @@ def write_manifest(
 ) -> None:
     """Write the manifest of one run to ``out_path``; ``extra`` adds keys.
 
-    When ``out_path`` already holds exactly these bytes, it is not opened
-    for writing: truncating a file that holds blocks costs far more than
-    reading it. Reruns hit this only under SOURCE_DATE_EPOCH; without it
+    When ``out_path`` already holds exactly these bytes, it is not written
+    again: replacing a file that holds blocks costs far more than reading
+    it. Reruns hit this only under SOURCE_DATE_EPOCH; without it
     the timestamp moves and the file is rewritten.
     """
     manifest = {

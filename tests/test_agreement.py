@@ -1,5 +1,8 @@
+import math
 import random
 import warnings
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -67,6 +70,80 @@ def oracle_alpha_interval(items):
     if d_e == 0.0:
         return 1.0
     return 1.0 - d_o / d_e
+
+
+def fsum_fleiss_kappa(items):
+    """Per-item terms summed with math.fsum, one term per item."""
+    n = len(items[0])
+    category_totals = Counter()
+    per_item_agreement = []
+    for ratings in items:
+        counts = Counter(ratings)
+        category_totals.update(counts)
+        agree_pairs = sum(c * (c - 1) for c in counts.values())
+        per_item_agreement.append(agree_pairs / (n * (n - 1)))
+    total = len(items) * n
+    p_bar = math.fsum(per_item_agreement) / len(items)
+    p_e = math.fsum((c / total) ** 2 for c in category_totals.values())
+    if p_e >= 1.0:
+        return 1.0
+    return (p_bar - p_e) / (1.0 - p_e)
+
+
+def fsum_alpha_interval(items):
+    """Per-unit terms summed with math.fsum, one term per unit."""
+    pairable = [list(map(float, ratings)) for ratings in items if len(ratings) >= 2]
+    n = sum(len(r) for r in pairable)
+    value_counts = Counter()
+    unit_terms = []
+    for ratings in pairable:
+        value_counts.update(ratings)
+        m = len(ratings)
+        within = math.fsum(
+            (a - b) ** 2 for i, a in enumerate(ratings) for b in ratings[i + 1 :]
+        )
+        unit_terms.append(2.0 * within / (m - 1))
+    d_observed = math.fsum(unit_terms) / n
+    values = sorted(value_counts)
+    d_expected = math.fsum(
+        value_counts[a] * value_counts[b] * (a - b) ** 2
+        for i, a in enumerate(values)
+        for b in values[i + 1 :]
+    ) * 2.0 / (n * (n - 1))
+    if d_expected == 0.0:
+        return 1.0
+    return 1.0 - d_observed / d_expected
+
+
+def exact_fleiss_kappa(items):
+    """Fleiss' kappa in exact rational arithmetic."""
+    n = len(items[0])
+    p_bar = sum(
+        Fraction(sum(c * (c - 1) for c in Counter(r).values()), n * (n - 1))
+        for r in items
+    ) / len(items)
+    total = len(items) * n
+    totals = Counter(v for r in items for v in r)
+    p_e = sum(Fraction(c, total) ** 2 for c in totals.values())
+    if p_e == 1:
+        return Fraction(1)
+    return (p_bar - p_e) / (1 - p_e)
+
+
+def exact_alpha_interval(items):
+    """Interval alpha in exact rational arithmetic over the float values."""
+    units = [[Fraction(float(v)) for v in u] for u in items if len(u) >= 2]
+    n = sum(len(u) for u in units)
+    d_o = sum(
+        sum((a - b) ** 2 for a in u for b in u) / (len(u) - 1) for u in units
+    ) / n
+    totals = Counter(v for u in units for v in u)
+    d_e = sum(
+        ca * cb * (a - b) ** 2 for a, ca in totals.items() for b, cb in totals.items()
+    ) / (n * (n - 1))
+    if d_e == 0:
+        return Fraction(1)
+    return 1 - d_o / d_e
 
 
 # ---------------------------------------------------------------------------
@@ -219,3 +296,60 @@ def test_level_agreement_items_selection():
     labels, values = level_agreement_items(group_comments(rows))
     assert labels == [["MSA", "Little", "Most"]]
     assert values == [[0.0, pytest.approx(1 / 3), 1.0]]
+
+
+LEVELS = ("MSA", "Little", "Mixed", "Most")
+
+
+def _aoc_like(rng, items):
+    """3-rater items with the skew of real annotations: few distinct triples."""
+    weights = [rng.random() ** 2 for _ in LEVELS]
+    labels, values = [], []
+    for _ in range(items):
+        base = rng.choices(range(4), weights)[0]
+        triple = [
+            base if rng.random() < 0.6 else rng.choices(range(4), weights)[0]
+            for _ in range(3)
+        ]
+        labels.append([LEVELS[k] for k in triple])
+        values.append([k / 3 for k in triple])
+    return labels, values
+
+
+def test_weighted_statistics_equal_per_item_fsum_on_aoc_like_inputs():
+    for seed in range(6):
+        rng = random.Random("aoc-%d" % seed)
+        labels, values = _aoc_like(rng, rng.randint(1500, 4000))
+        assert len(Counter(map(tuple, labels))) <= 64
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            kappa = fleiss_kappa(labels)
+            assert kappa == fsum_fleiss_kappa(labels), seed
+        assert abs(kappa - exact_fleiss_kappa(labels)) < 1e-12, seed
+        alpha = krippendorff_alpha_interval(values)
+        assert alpha == fsum_alpha_interval(values), seed
+        assert abs(alpha - exact_alpha_interval(values)) < 1e-12, seed
+
+
+def test_weighted_alpha_equals_per_item_fsum_with_variable_raters():
+    for seed in range(6):
+        rng = random.Random("raters-%d" % seed)
+        scale = [rng.uniform(-2.0, 2.0) for _ in range(rng.randint(2, 6))]
+        items = [
+            tuple(rng.choice(scale) for _ in range(rng.choice((1, 2, 2, 3, 3, 3, 5))))
+            for _ in range(rng.randint(1000, 4000))
+        ]
+        alpha = krippendorff_alpha_interval(items)
+        assert alpha == fsum_alpha_interval(items), seed
+        assert abs(alpha - exact_alpha_interval(items)) < 1e-12, seed
+
+
+def test_kappa_length_error_names_the_first_short_item():
+    items = [("A", "B", "C")] * 5 + [("A", "B")] + [("A",)] + [("A", "B")]
+    with pytest.raises(FormatError, match="item 5 has 2 ratings, expected 3"):
+        fleiss_kappa(items)
+
+
+def test_alpha_rejects_non_finite_values():
+    with pytest.raises(FormatError, match="finite"):
+        krippendorff_alpha_interval([(0.0, 1.0), (float("nan"), 1.0)])

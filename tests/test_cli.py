@@ -44,6 +44,42 @@ def test_version_is_one_line_at_any_width(capsys, monkeypatch):
     )
 
 
+_REPORT_LOADED_MODULES = """
+import sys
+from aldikit import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(m for m in sys.modules if m.partition(".")[0] == "aldikit"))
+"""
+
+
+def _modules_loaded_by(argv):
+    """Exit code and aldikit modules loaded after ``main(argv)`` in a fresh
+    interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_LOADED_MODULES, *map(str, argv)],
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        timeout=60,
+        check=True,
+    )
+    code, *modules = proc.stdout.decode("utf-8").splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    assert _modules_loaded_by(["--version"]) == (
+        0, {"aldikit", "aldikit.cli", "aldikit.errors"}
+    )
+    code, loaded = _modules_loaded_by(["agreement", make_rows_fixture(tmp_path)])
+    assert code == 0
+    assert "aldikit.pipeline" in loaded
+    unused = {"estimators", "evaluation", "speech", "svgplot"}
+    assert loaded.isdisjoint("aldikit." + name for name in unused)
+
+
 def test_ingest_fixture(hit_file, tmp_path, capsys):
     out = tmp_path / "rows.tsv"
     assert run(["ingest", hit_file, "-o", out]) == 0
@@ -137,9 +173,14 @@ def test_failed_ingest_rerun_leaves_only_the_new_rows(tmp_path, capsys):
     lines[-1] = "\t".join(lines[-1].split("\t")[:-6])
     hits.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run(["ingest", hits, "--lenient", "-o", tmp_path / "good.tsv"]) == 0
+    old_rows = out.read_bytes()
+    assert (tmp_path / "good.tsv").read_bytes() != old_rows
+    manifest = Path(str(out) + ".manifest.json")
+    old_manifest = manifest.read_bytes()
     assert run(["ingest", hits, "-o", out]) == 2
-    # the rows read before the error, and nothing of the old file after them
-    assert out.read_bytes() == (tmp_path / "good.tsv").read_bytes()
+    # the failed run leaves the old rows and their manifest whole
+    assert out.read_bytes() == old_rows
+    assert manifest.read_bytes() == old_manifest
 
 
 def make_rows_fixture(tmp_path):

@@ -62,6 +62,8 @@ def test_write_output_leaves_exactly_the_new_bytes(tmp_path, kind):
 
 @pytest.mark.parametrize("kind", OLD_FILES)
 def test_a_failed_stream_leaves_only_the_chunks_before_it(tmp_path, kind):
+    """The chunks before the failure never reach ``path``: the old file
+    stays whole (or absent), and no other file is left behind."""
     for seed in range(20):
         rng = random.Random("fail-%s-%d" % (kind, seed))
         chunks = _cut(rng, _text(rng))
@@ -73,11 +75,46 @@ def test_a_failed_stream_leaves_only_the_chunks_before_it(tmp_path, kind):
 
         new = "".join(chunks).encode("utf-8")
         path = tmp_path / ("out%d.txt" % seed)
-        if kind != "missing":
-            path.write_bytes(_old_bytes(rng, kind, new))
+        old = None if kind == "missing" else _old_bytes(rng, kind, new)
+        if old is not None:
+            path.write_bytes(old)
+        before = sorted(tmp_path.iterdir())
         with pytest.raises(ValueError):
             write_output(path, failing())
-        assert path.read_bytes() == "".join(chunks[:done]).encode("utf-8"), seed
+        assert sorted(tmp_path.iterdir()) == before, seed
+        assert (path.read_bytes() if path.exists() else None) == old, seed
+
+
+def test_write_output_keeps_the_mode_a_new_or_an_old_file_has(tmp_path):
+    path = tmp_path / "out.txt"
+    old_umask = os.umask(0o027)
+    try:
+        write_output(path, ["text\n"])
+        assert path.stat().st_mode & 0o777 == 0o640
+        path.chmod(0o604)
+        write_output(path, ["new text\n"])
+    finally:
+        os.umask(old_umask)
+    assert path.stat().st_mode & 0o777 == 0o604
+
+
+def test_write_output_writes_through_a_symlink_and_into_a_device(tmp_path):
+    real = tmp_path / "real.txt"
+    real.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    write_output(link, ["new\n"])
+    assert link.is_symlink()
+    assert real.read_text(encoding="utf-8") == "new\n"
+    write_output(os.devnull, ["discarded\n"])
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+
+def test_write_output_names_the_target_when_its_directory_is_missing(tmp_path):
+    path = tmp_path / "missing" / "out.txt"
+    with pytest.raises(FileNotFoundError) as excinfo:
+        write_output(path, ["text\n"])
+    assert excinfo.value.filename == str(path)
 
 
 def test_write_output_escapes_a_lone_surrogate(tmp_path):
