@@ -39,30 +39,47 @@ def _version_string() -> str:
 def _score_formatter(full_precision: bool):
     if full_precision:
         return lambda v: repr(float(v))
-    from .dataset import format_score
+    from .estimators import format_score
 
     return format_score
 
 
 # --estimator kind -> (the flag naming its input,
-# factory(estimators module, input, batch size)); the input is a file, or the
-# scorer command line for "external"
+# factory(estimators module, input, batch size, scorer timeout)); the input is
+# a file, or the scorer command line for "external"
 _ESTIMATORS = {
-    "lexicon": ("--lexicon", lambda est, path, _: est.LexiconEstimator(
+    "lexicon": ("--lexicon", lambda est, path, *_: est.LexiconEstimator(
         est.load_lexicon(path))),
-    "cmi": ("--tags", lambda est, path, _: est.PositionalEstimator(
+    "cmi": ("--tags", lambda est, path, *_: est.PositionalEstimator(
         "cmi", [[tag for _, tag in s] for s in est.read_token_tag_file(path)])),
-    "binary-di": ("--labels", lambda est, path, _: est.PositionalEstimator(
+    "binary-di": ("--labels", lambda est, path, *_: est.PositionalEstimator(
         "binary-di", est.read_label_file(path))),
-    "external": ("--scorer-cmd", lambda est, command, batch_size:
-                 est.ExternalEstimator(tuple(shlex.split(command)), batch_size)),
+    "external": ("--scorer-cmd", lambda est, command, *limits: est.ExternalEstimator(
+        tuple(shlex.split(command)), *limits)),
 }
 
+# the flags that only an external scorer reads
+_SCORER_FLAGS = ("--batch-size", "--scorer-timeout")
 
-def _estimator(kind: str, source: str, batch_size: int | None):
+
+def _estimator(kind: str, source: str, args):
     from . import estimators
 
-    return _ESTIMATORS[kind][1](estimators, source, batch_size)
+    factory = _ESTIMATORS[kind][1]
+    return factory(estimators, source, args.batch_size, args.scorer_timeout)
+
+
+def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--batch-size", type=int, default=None, help="external scorer batch size"
+    )
+    parser.add_argument(
+        "--scorer-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="kill an external scorer process that runs longer (default: no limit)",
+    )
 
 
 def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
@@ -82,19 +99,22 @@ def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scorer-cmd", help="external scorer command line (estimator=external)"
     )
-    parser.add_argument(
-        "--batch-size", type=int, default=None, help="external scorer batch size"
-    )
+    _add_scorer_flags(parser)
+
+
+def _flag_value(args, flag: str):
+    return getattr(args, flag[2:].replace("-", "_"))
 
 
 def _make_estimator(args):
     flag = _ESTIMATORS[args.estimator][0]
-    source = getattr(args, flag[2:].replace("-", "_"))
+    source = _flag_value(args, flag)
     if not source:
         raise FormatError("--estimator %s requires %s" % (args.estimator, flag))
-    if args.batch_size is not None and args.estimator != "external":
-        raise FormatError("--batch-size applies only to --estimator external")
-    return _estimator(args.estimator, source, args.batch_size)
+    for scorer_flag in _SCORER_FLAGS:
+        if _flag_value(args, scorer_flag) is not None and args.estimator != "external":
+            raise FormatError("%s applies only to --estimator external" % scorer_flag)
+    return _estimator(args.estimator, source, args)
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +296,10 @@ def _cmd_contrastive(args):
         ("cmi", args.tags),
         ("external", args.scorer_cmd),
     )
-    if args.batch_size is not None and not args.scorer_cmd:
-        raise FormatError("--batch-size applies only with --scorer-cmd")
-    estimators = [
-        _estimator(kind, source, args.batch_size)
-        for kind, source in sources
-        if source
-    ]
+    for flag in _SCORER_FLAGS:
+        if _flag_value(args, flag) is not None and not args.scorer_cmd:
+            raise FormatError("%s applies only with --scorer-cmd" % flag)
+    estimators = [_estimator(kind, source, args) for kind, source in sources if source]
     if not estimators:
         raise FormatError(
             "contrastive needs at least one of --lexicon/--di-labels/--tags/--scorer-cmd"
@@ -415,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--di-labels")
     p.add_argument("--tags")
     p.add_argument("--scorer-cmd")
-    p.add_argument("--batch-size", type=int, default=None)
+    _add_scorer_flags(p)
     p.add_argument("-o", "--output")
     p.add_argument("--full-precision", action="store_true")
     p.add_argument("--json", action="store_true")

@@ -24,8 +24,6 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -67,32 +65,55 @@ DISCARDED_HEADER = ("source", "article_id", "kind", "category", "levels", "text"
 ALDI_BINS = ("[0.00,0.25)", "[0.25,0.50)", "[0.50,0.75)", "[0.75,1.00]")
 
 
-@dataclass(slots=True)
 class CommentGroup:
     """One comment and its annotations: the table every stage after grouping reads.
 
     ``levels[i]`` and ``dialects[i]`` are the labels of the group's i-th
     annotation, in input order (``""`` for no dialect). The later stages fill
     in ``aldi`` and ``split`` (kept groups) or ``category`` (discarded ones);
-    ``aldi`` is the :func:`aggregate` pair ``(k, n)``.
+    ``aldi`` is the :func:`aggregate` pair ``(k, n)``. Two groups are equal
+    when all their fields are.
     """
 
-    source: str
-    article_id: str
-    canonical_text: str
-    raw_text: str
-    kind: str
-    levels: list[str]
-    dialects: list[str]
-    aldi: tuple[int, int] | None = None
-    split: str | None = None
-    category: str | None = None
+    __slots__ = (
+        "source", "article_id", "canonical_text", "raw_text", "kind",
+        "levels", "dialects", "aldi", "split", "category",
+    )
 
+    def __init__(
+        self,
+        source: str,
+        article_id: str,
+        canonical_text: str,
+        raw_text: str,
+        kind: str,
+        levels: list[str],
+        dialects: list[str],
+        aldi: tuple[int, int] | None = None,
+        split: str | None = None,
+        category: str | None = None,
+    ):
+        self.source = source
+        self.article_id = article_id
+        self.canonical_text = canonical_text
+        self.raw_text = raw_text
+        self.kind = kind
+        self.levels = levels
+        self.dialects = dialects
+        self.aldi = aldi
+        self.split = split
+        self.category = category
 
-def format_score(score: float) -> str:
-    """The float's shortest repr at 6 decimal places, round half even."""
-    dec = Decimal(repr(float(score)))
-    return str(dec.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN))
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "CommentGroup%r" % (self._fields(),)
 
 
 def format_thirds(k: int, n: int) -> str:

@@ -20,9 +20,8 @@ would only manufacture false out-of-vocabulary hits.
 from __future__ import annotations
 
 import math
-import subprocess
 from collections import Counter
-from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Decimal
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -54,12 +53,12 @@ KNOWN_DI_LABELS = frozenset(
 LEXICON_MAGIC = "#aldi-lexicon v1"
 
 
-@dataclass(frozen=True)
 class Lexicon:
     """Set of standard-language tokens seen at least min_count times."""
 
-    tokens: frozenset[str]
-    min_count: int
+    def __init__(self, tokens: frozenset[str], min_count: int):
+        self.tokens = tokens
+        self.min_count = min_count
 
     def __contains__(self, token: str) -> bool:
         return token in self.tokens
@@ -201,6 +200,12 @@ def read_label_file(path: str | Path) -> list[str]:
         return [line.rstrip("\n").strip() for line in fh if line.strip()]
 
 
+def format_score(score: float) -> str:
+    """The float's shortest repr at 6 decimal places, round half even."""
+    dec = Decimal(repr(float(score)))
+    return str(dec.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN))
+
+
 def _clip(value: float) -> float:
     return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
 
@@ -209,16 +214,23 @@ def external_score(
     sentences: Sequence[str],
     command: Sequence[str],
     batch_size: int | None = None,
+    timeout: float | None = None,
 ) -> list[float]:
     """Score sentences through the external newline protocol.
 
     Runs ``command`` with normalized sentences, one per line, on its stdin;
     expects exactly one decimal per line back, in order. Scores are clipped
     to [0, 1]. ``batch_size`` bounds how many sentences one process
-    invocation carries (default: all of them).
+    invocation carries (default: all of them). A process that runs longer
+    than ``timeout`` seconds (default: no limit) is killed, and that is a
+    protocol failure.
     """
+    import subprocess
+
     if batch_size is not None and batch_size < 1:
         raise FormatError("batch size must be at least 1, got %d" % batch_size)
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise FormatError("scorer timeout must be finite and above 0, got %r" % timeout)
     scores: list[float] = []
     batch = batch_size or len(sentences) or 1
     for start in range(0, len(sentences), batch):
@@ -230,7 +242,13 @@ def external_score(
                 input=payload.encode("utf-8"),
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
+                timeout=timeout,
             )
+        except subprocess.TimeoutExpired:
+            # run() has killed and reaped the scorer
+            raise ProtocolError(
+                "scorer %s ran longer than %g s and was killed" % (command, timeout)
+            ) from None
         except OSError as exc:
             raise ProtocolError("cannot run scorer %s: %s" % (command, exc))
         if proc.returncode != 0:
@@ -302,9 +320,15 @@ class PositionalEstimator:
 class ExternalEstimator:
     estimator_id = "external"
 
-    def __init__(self, command: Sequence[str], batch_size: int | None = None):
+    def __init__(
+        self,
+        command: Sequence[str],
+        batch_size: int | None = None,
+        timeout: float | None = None,
+    ):
         self.command = command
         self.batch_size = batch_size
+        self.timeout = timeout
 
     def score_many(self, sentences: Sequence[str]) -> list[float]:
-        return external_score(sentences, self.command, self.batch_size)
+        return external_score(sentences, self.command, self.batch_size, self.timeout)

@@ -10,15 +10,13 @@ anywhere authoritative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import AldiError, FormatError
 
 
-@dataclass(frozen=True)
-class ScoredPair:
+class ScoredPair(NamedTuple):
     gold: float
     predicted: float
     subset: str  # "control" | "comment"
@@ -84,8 +82,7 @@ def d_prime(
 VARIANTS = ("MSA", "EGY")
 
 
-@dataclass(frozen=True)
-class ContrastivePair:
+class ContrastivePair(NamedTuple):
     feature_id: str
     variant: str
     word_order: str
@@ -93,13 +90,13 @@ class ContrastivePair:
     text: str
 
 
-@dataclass
 class ContrastiveRow:
-    feature_id: str
-    word_order: str
-    # estimator id -> variant -> gender -> score
-    scores: dict[str, dict[str, dict[str, float]]] = field(default_factory=dict)
-    flagged: set[str] = field(default_factory=set)
+    def __init__(self, feature_id: str, word_order: str):
+        self.feature_id = feature_id
+        self.word_order = word_order
+        # estimator id -> variant -> gender -> score
+        self.scores: dict[str, dict[str, dict[str, float]]] = {}
+        self.flagged: set[str] = set()
 
 
 PAIRS_HEADER = ("feature_id", "variant", "word_order", "gender", "text")

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import FormatError
-from .manifest import write_output
 
 LEVELS = ("MSA", "Little", "Mixed", "Most", "NotArabic", "Missing")
 DIALECTS = ("EGY", "LEV", "GLF", "MAG", "IRQ", "GEN", "Unfamiliar", "Other")
@@ -351,6 +350,8 @@ def format_row(r: AnnotationRow) -> str:
 
 def write_rows(rows: Iterable[AnnotationRow], path: str | Path) -> None:
     """Stream annotation rows into ``path`` as TSV with a header."""
+    from .manifest import write_output
+
     header = "\t".join(ROWS_HEADER) + "\n"
     write_output(path, chain([header], (format_row(r) + "\n" for r in rows)))
 

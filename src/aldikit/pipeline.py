@@ -4,6 +4,13 @@ Each run_* function performs one subcommand's work: read inputs, call the
 library, write every output file (plus a manifest) through
 ``manifest.write_output``, and return a summary dict suitable for --json
 printing. Rows and dataset lines are streamed into their files.
+
+Import rule: at module level this file imports only the standard library
+and ``errors``, because ``evaluate`` and ``dprime`` need only the two file
+readers at the end of it. Each run_* function imports the aldikit modules
+it calls when it runs, and calls the library stages through the module
+object (``dataset_mod.group_comments``), so a wrapper installed on a module
+attribute before the run sees every call.
 """
 
 from __future__ import annotations
@@ -14,11 +21,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
-from . import agreement as agreement_mod
-from . import dataset as dataset_mod
-from . import ingest as ingest_mod
 from .errors import FormatError
-from .manifest import write_manifest, write_output, write_sidecar
 
 
 def run_ingest(
@@ -28,6 +31,9 @@ def run_ingest(
     strict: bool = True,
     command: Sequence[str] | None = None,
 ) -> dict:
+    from . import ingest as ingest_mod
+    from .manifest import write_sidecar
+
     cmap = (
         ingest_mod.ColumnMapConfig.load(column_map_path)
         if column_map_path
@@ -68,6 +74,10 @@ def run_build_dataset(
     key_mode: str = "normalized",
     command: Sequence[str] | None = None,
 ) -> dict:
+    from . import dataset as dataset_mod
+    from . import ingest as ingest_mod
+    from .manifest import write_manifest, write_output
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     raw_keys: set[tuple[str, str, str]] = set()
@@ -129,6 +139,10 @@ def run_build_dataset(
 
 
 def run_agreement(rows_path: str | Path) -> dict:
+    from . import agreement as agreement_mod
+    from . import dataset as dataset_mod
+    from . import ingest as ingest_mod
+
     groups = dataset_mod.group_comments(ingest_mod.read_rows(rows_path))
     labels, values = agreement_mod.level_agreement_items(groups)
     if not labels:

@@ -10,11 +10,10 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from dataclasses import dataclass
 from html.parser import HTMLParser
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import textnorm
 from .errors import FormatError
@@ -104,16 +103,14 @@ def segment_html_file(path: str | Path, mode: str) -> list[str]:
         return segment_html(fh.read(), mode)
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
+class SeriesPoint(NamedTuple):
     index: int  # 1-based, contiguous
     sentence: str
     aldi: float
     di_label: str | None = None
 
 
-@dataclass(frozen=True)
-class ScoreSeries:
+class ScoreSeries(NamedTuple):
     document_id: str
     estimator_id: str
     points: tuple[SeriesPoint, ...]

@@ -44,42 +44,6 @@ def test_version_is_one_line_at_any_width(capsys, monkeypatch):
     )
 
 
-_REPORT_LOADED_MODULES = """
-import sys
-from aldikit import cli
-try:
-    code = cli.main(sys.argv[1:])
-except SystemExit as exc:
-    code = exc.code
-print(code, *sorted(m for m in sys.modules if m.partition(".")[0] == "aldikit"))
-"""
-
-
-def _modules_loaded_by(argv):
-    """Exit code and aldikit modules loaded after ``main(argv)`` in a fresh
-    interpreter."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _REPORT_LOADED_MODULES, *map(str, argv)],
-        stdout=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
-        timeout=60,
-        check=True,
-    )
-    code, *modules = proc.stdout.decode("utf-8").splitlines()[-1].split()
-    return int(code), set(modules)
-
-
-def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    assert _modules_loaded_by(["--version"]) == (
-        0, {"aldikit", "aldikit.cli", "aldikit.errors"}
-    )
-    code, loaded = _modules_loaded_by(["agreement", make_rows_fixture(tmp_path)])
-    assert code == 0
-    assert "aldikit.pipeline" in loaded
-    unused = {"estimators", "evaluation", "speech", "svgplot"}
-    assert loaded.isdisjoint("aldikit." + name for name in unused)
-
-
 def test_ingest_fixture(hit_file, tmp_path, capsys):
     out = tmp_path / "rows.tsv"
     assert run(["ingest", hit_file, "-o", out]) == 0
@@ -162,7 +126,7 @@ def test_ingest_structural_error_strict_vs_lenient(tmp_path, capsys):
     assert run(["ingest", path, "--lenient", "-o", tmp_path / "o.tsv"]) == 0
 
 
-def test_failed_ingest_rerun_leaves_only_the_new_rows(tmp_path, capsys):
+def test_failed_ingest_rerun_leaves_the_old_rows_and_manifest(tmp_path, capsys):
     hits = tmp_path / "hits.tsv"
     lines = [make_hit_line("hit%d" % i, "w%d" % i) for i in range(1, 6)]
     hits.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -693,6 +657,56 @@ def test_external_scorer_non_finite_output_exits_3(tmp_path, capsys, reply):
     assert not out.exists()
 
 
+def _scorer_argv(command, sentences, *flags):
+    if command == "score":
+        return ["score", "--estimator", "external", "--sentences", sentences, *flags]
+    return ["contrastive", DATA_DIR / "contrastive_pairs_egy.tsv", *flags]
+
+
+@pytest.mark.parametrize("command", ["score", "contrastive"])
+def test_scorer_timeout_kills_a_hung_scorer_and_exits_3(tmp_path, capsys, command):
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("جملة\n", encoding="utf-8")
+    pid_file = tmp_path / "scorer.pid"
+    scorer = "import os, time; open(%r, 'w').write(str(os.getpid())); time.sleep(60)"
+    argv = _scorer_argv(
+        command, sentences,
+        "--scorer-cmd", '%s -c "%s"' % (sys.executable, scorer % str(pid_file)),
+        "--scorer-timeout", "0.5",
+    )
+    assert run(argv) == 3
+    assert "ran longer than 0.5 s and was killed" in capsys.readouterr().err
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(int(pid_file.read_text()), 0)
+
+
+@pytest.mark.parametrize("command", ["score", "contrastive"])
+@pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf"])
+def test_scorer_timeout_must_be_finite_and_above_0(tmp_path, capsys, command, seconds):
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("جملة\n", encoding="utf-8")
+    scorer = '%s -c "import sys; [print(0.25) for _ in sys.stdin]"' % sys.executable
+    argv = _scorer_argv(
+        command, sentences, "--scorer-cmd", scorer, "--scorer-timeout", seconds
+    )
+    assert run(argv) == 2
+    assert "scorer timeout must be finite and above 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["score", "contrastive"])
+def test_scorer_timeout_needs_an_external_scorer(tmp_path, capsys, command):
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("جملة\n", encoding="utf-8")
+    argv = (
+        ["score", "--estimator", "lexicon", "--sentences", sentences]
+        if command == "score"
+        else ["contrastive", DATA_DIR / "contrastive_pairs_egy.tsv"]
+    )
+    lexicon = ["--lexicon", DATA_DIR / "contrastive_lexicon.txt"]
+    assert run(argv + lexicon + ["--scorer-timeout", "5"]) == 2
+    assert "--scorer-timeout applies only" in capsys.readouterr().err
+
+
 def test_score_json_and_stdout(tmp_path, capsys):
     sentences = tmp_path / "s.txt"
     sentences.write_text("جملة\n", encoding="utf-8")
@@ -831,6 +845,55 @@ def test_text_stdout_of_every_subcommand(chain_dir, capsys):
     for argv, expected in CHAIN:
         assert run(argv) == 0, argv
         assert capsys.readouterr().out == expected, argv
+
+
+_REPORT_LOADED_MODULES = """
+import sys
+from aldikit import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(
+    m for m in sys.modules if m.partition(".")[0] in ("aldikit", "dataclasses")
+))
+"""
+
+
+def _modules_loaded_by(argv):
+    """Exit code, and the aldikit modules and ``dataclasses`` if loaded, after
+    ``main(argv)`` in a fresh interpreter without ``site``, whose start-up
+    hooks may import modules of their own."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _REPORT_LOADED_MODULES, *map(str, argv)],
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        timeout=60,
+        check=True,
+    )
+    code, *modules = proc.stdout.decode("utf-8").splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+def test_each_command_loads_only_the_modules_it_runs(chain_dir):
+    assert _modules_loaded_by(["--version"]) == (
+        0, {"aldikit", "aldikit.cli", "aldikit.errors"}
+    )
+    loaded = {}
+    for argv, _ in CHAIN:
+        code, modules = _modules_loaded_by(argv)
+        assert code == 0, argv
+        assert "dataclasses" not in modules, argv
+        loaded.setdefault(argv[0], set()).update(modules)
+    assert loaded["evaluate"] == {
+        "aldikit", "aldikit.cli", "aldikit.errors", "aldikit.evaluation",
+        "aldikit.pipeline",
+    }
+    assert "aldikit.pipeline" in loaded["agreement"]
+    unused = {"estimators", "evaluation", "manifest", "speech", "svgplot"}
+    assert loaded["agreement"].isdisjoint("aldikit." + name for name in unused)
+    for command in ("score", "speech"):
+        assert loaded[command].isdisjoint({"aldikit.dataset", "aldikit.ingest"})
 
 
 def _manifest_paths(argv):

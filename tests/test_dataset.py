@@ -11,12 +11,12 @@ from aldikit.dataset import (
     categorize_discard,
     count_distinct_keys,
     discard_junk,
-    format_score,
     format_thirds,
     group_comments,
     make_splits,
 )
 from aldikit.errors import AldiError, FormatError
+from aldikit.estimators import format_score
 from aldikit.textnorm import normalize
 
 from conftest import make_row

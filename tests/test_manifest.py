@@ -61,7 +61,7 @@ def test_write_output_leaves_exactly_the_new_bytes(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", OLD_FILES)
-def test_a_failed_stream_leaves_only_the_chunks_before_it(tmp_path, kind):
+def test_a_failed_stream_leaves_the_old_file_whole(tmp_path, kind):
     """The chunks before the failure never reach ``path``: the old file
     stays whole (or absent), and no other file is left behind."""
     for seed in range(20):

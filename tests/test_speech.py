@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from aldikit.errors import FormatError
-from aldikit.dataset import format_score
+from aldikit.estimators import format_score
 from aldikit.estimators import Lexicon, LexiconEstimator
 from aldikit.speech import ScoreSeries, SeriesPoint, score_series, segment_html, write_series_csv
 from aldikit.textnorm import normalize
