@@ -20,6 +20,7 @@ would only manufacture false out-of-vocabulary hits.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from decimal import ROUND_HALF_EVEN, Decimal
 from itertools import chain
@@ -223,9 +224,19 @@ def external_score(
     to [0, 1]. ``batch_size`` bounds how many sentences one process
     invocation carries (default: all of them). A process that runs longer
     than ``timeout`` seconds (default: no limit) is killed, and that is a
-    protocol failure.
+    protocol failure. Each process runs in a session of its own, and a
+    timeout or any other exception kills that whole process group.
     """
+    import signal
     import subprocess
+
+    def end_session(proc: subprocess.Popen) -> None:
+        # the scorer leads its own session, so this also ends what it started
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
 
     if batch_size is not None and batch_size < 1:
         raise FormatError("batch size must be at least 1, got %d" % batch_size)
@@ -237,27 +248,33 @@ def external_score(
         chunk = sentences[start : start + batch]
         payload = "".join(textnorm.normalize(s) + "\n" for s in chunk)
         try:
-            proc = subprocess.run(
+            proc = subprocess.Popen(
                 list(command),
-                input=payload.encode("utf-8"),
+                stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
-                timeout=timeout,
+                start_new_session=True,
             )
-        except subprocess.TimeoutExpired:
-            # run() has killed and reaped the scorer
-            raise ProtocolError(
-                "scorer %s ran longer than %g s and was killed" % (command, timeout)
-            ) from None
         except OSError as exc:
             raise ProtocolError("cannot run scorer %s: %s" % (command, exc))
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(payload.encode("utf-8"), timeout)
+            except subprocess.TimeoutExpired:
+                end_session(proc)
+                raise ProtocolError(
+                    "scorer %s ran longer than %g s and was killed" % (command, timeout)
+                ) from None
+            except BaseException:  # Ctrl-C no longer reaches the scorer's session
+                end_session(proc)
+                raise
         if proc.returncode != 0:
             raise ProtocolError(
                 "scorer exited with status %d: %s"
-                % (proc.returncode, proc.stderr.decode("utf-8", "replace").strip())
+                % (proc.returncode, stderr.decode("utf-8", "replace").strip())
             )
         try:
-            lines = proc.stdout.decode("utf-8").splitlines()
+            lines = stdout.decode("utf-8").splitlines()
         except UnicodeDecodeError as exc:
             raise ProtocolError("scorer output is not UTF-8: %s" % exc) from None
         lines = [ln for ln in lines if ln.strip()]

@@ -8,6 +8,10 @@ two functions, so the rules are deliberately small and deterministic:
 3. Strip tatweel/kashida (U+0640).
 4. Collapse whitespace runs to single spaces and trim.
 
+Clean text (NFC, no tashkeel or tatweel, single spaces, no edge spaces) is
+returned unchanged, as the same object; the rules are the same for it, the
+function only skips the passes that would not change it.
+
 Alef/ya letter unification is intentionally NOT performed: collapsing
 orthographic variants would erase dialectal spelling cues that the
 downstream estimators rely on.
@@ -21,24 +25,35 @@ alphanumeric character is in a punctuation or symbol category.
 
 from __future__ import annotations
 
-import re
 import unicodedata
 from functools import lru_cache
 
 # Tashkeel (fathatan..sukun) and tatweel/kashida. Kept as a range on purpose;
 # marks outside it (e.g. madda above U+0653) are letters' building blocks and
 # must survive.
-_STRIP_RE = re.compile(r"[\u064b-\u0652\u0640]+")
+_STRIPPED = "".join(map(chr, range(0x064B, 0x0653))) + "\u0640"
 
 
 def normalize(text: str) -> str:
     """Normalize ``text``; applying it twice equals applying it once."""
     out = unicodedata.normalize("NFC", text)
-    stripped = _STRIP_RE.sub("", out)
+    stripped = out
+    for ch in _STRIPPED:
+        if ch in stripped:
+            stripped = stripped.replace(ch, "")
     if len(stripped) != len(out):
         # Re-run NFC: removing a mark can expose a base+mark pair that now
         # composes (e.g. alef + tatweel + madda -> alef + madda -> alef-madda).
         out = unicodedata.normalize("NFC", stripped)
+    # Every whitespace character except U+0020 is non-printable, so printable
+    # text with no double or edge space has nothing to collapse or trim.
+    if (
+        out.isprintable()
+        and "  " not in out
+        and not out.startswith(" ")
+        and not out.endswith(" ")
+    ):
+        return out
     return " ".join(out.split())
 
 

@@ -2,8 +2,10 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -211,6 +213,27 @@ def test_build_dataset_counts_distinct_keys_of_both_modes(tmp_path, key_mode):
     assert "Distinct keys: 4 normalized, 6 raw" in text
 
 
+@pytest.mark.parametrize(
+    "flags, groups_total, items",
+    [([], 3, 3), (["--key", "normalized"], 3, 3), (["--key", "raw"], 5, 2)],
+)
+def test_agreement_groups_by_the_chosen_key(tmp_path, capsys, flags, groups_total, items):
+    levels = ["MSA", "Little", "Most"]
+    # three diacritic variants of one comment, one annotation each
+    rows = [
+        make_row(article_id="art1", text=text, level=levels[w], worker="w%d" % w)
+        for w, text in enumerate(["كتب", "كتَب", "كُتُب"])
+    ]
+    rows += [
+        make_row(article_id="art1", text=text, level=levels[w], worker="w%d" % w)
+        for text in ["نص", "نص آخر"]
+        for w in range(3)
+    ]
+    assert run(["agreement", write_rows_file(tmp_path, rows), "--json"] + flags) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["groups_total"], report["items"]) == (groups_total, items)
+
+
 def test_build_dataset_header_only_rows_exits_2(tmp_path, capsys):
     rows_file = write_rows_file(tmp_path, [])
     assert run(["build-dataset", rows_file, "-o", tmp_path / "out"]) == 2
@@ -241,7 +264,7 @@ def test_build_dataset_non_utf8_rows_exits_2(tmp_path, capsys):
 
 
 def test_internal_value_error_is_not_reported_as_bad_input(tmp_path, monkeypatch):
-    def broken(rows_path):
+    def broken(rows_path, key_mode):
         raise ValueError("internal bug")
 
     monkeypatch.setattr(pipeline, "run_agreement", broken)
@@ -678,6 +701,41 @@ def test_scorer_timeout_kills_a_hung_scorer_and_exits_3(tmp_path, capsys, comman
     assert "ran longer than 0.5 s and was killed" in capsys.readouterr().err
     with pytest.raises(ProcessLookupError):  # killed and reaped
         os.kill(int(pid_file.read_text()), 0)
+
+
+def _has_exited(pid):
+    """True once ``pid`` is gone or a zombie that its new parent has not reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open("/proc/%d/stat" % pid, encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_scorer_timeout_kills_what_the_scorer_started(tmp_path, capsys):
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("جملة\n", encoding="utf-8")
+    pid_file = tmp_path / "sleep.pid"
+    scorer = "sh -c 'sleep 60 & echo $! > %s; wait'" % pid_file
+    argv = _scorer_argv(
+        "score", sentences, "--scorer-cmd", scorer, "--scorer-timeout", "0.5"
+    )
+    assert run(argv) == 3
+    assert "ran longer than 0.5 s and was killed" in capsys.readouterr().err
+    pid = int(pid_file.read_text())
+    try:
+        deadline = time.monotonic() + 5
+        while not _has_exited(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _has_exited(pid)
+    finally:
+        if not _has_exited(pid):
+            os.kill(pid, signal.SIGKILL)
 
 
 @pytest.mark.parametrize("command", ["score", "contrastive"])
