@@ -159,7 +159,7 @@ def _cmd_build_dataset(args):
 def _cmd_agreement(args):
     from .pipeline import run_agreement
 
-    report = run_agreement(args.rows_file, key_mode=args.key)
+    report = run_agreement(args.rows_file)
     return report, (
         "items with 3 usable annotations: %(items)d\n"
         "ratings:                         %(ratings)d\n"
@@ -393,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("agreement", help="inter-annotator agreement statistics")
     p.add_argument("rows_file")
-    p.add_argument("--key", choices=("normalized", "raw"), default="normalized")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_agreement)
 

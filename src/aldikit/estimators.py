@@ -225,25 +225,45 @@ def external_score(
     invocation carries (default: all of them). A process that runs longer
     than ``timeout`` seconds (default: no limit) is killed, and that is a
     protocol failure. Each process runs in a session of its own, and a
-    timeout or any other exception kills that whole process group.
+    timeout or any other exception kills that whole process group. While
+    a scorer runs, SIGTERM and SIGHUP (where they still have their default
+    action) raise ``SystemExit(128 + signum)``, so they end the group too.
     """
     import signal
-    import subprocess
-
-    def end_session(proc: subprocess.Popen) -> None:
-        # the scorer leads its own session, so this also ends what it started
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.wait()
 
     if batch_size is not None and batch_size < 1:
         raise FormatError("batch size must be at least 1, got %d" % batch_size)
     if timeout is not None and not 0 < timeout < math.inf:
         raise FormatError("scorer timeout must be finite and above 0, got %r" % timeout)
+    # The scorer's session no longer gets the terminal's or our group's
+    # signals, so turn the ones that would end us silently into an exception.
+    # An ignored or custom handler (nohup, an embedding program) is kept.
+    restore = {}
+    for signum in (signal.SIGTERM, signal.SIGHUP):
+        if signal.getsignal(signum) is signal.SIG_DFL:
+            try:
+                restore[signum] = signal.signal(signum, _exit_on_signal)
+            except ValueError:  # not the main thread, which alone gets signals
+                break
+    try:
+        batch = batch_size or len(sentences) or 1
+        return _score_batches(sentences, command, batch, timeout)
+    finally:
+        for signum, handler in restore.items():
+            signal.signal(signum, handler)
+
+
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+def _score_batches(
+    sentences: Sequence[str], command: Sequence[str], batch: int, timeout: float | None
+) -> list[float]:
+    import signal
+    import subprocess
+
     scores: list[float] = []
-    batch = batch_size or len(sentences) or 1
     for start in range(0, len(sentences), batch):
         chunk = sentences[start : start + batch]
         payload = "".join(textnorm.normalize(s) + "\n" for s in chunk)
@@ -260,13 +280,18 @@ def external_score(
         with proc:
             try:
                 stdout, stderr = proc.communicate(payload.encode("utf-8"), timeout)
-            except subprocess.TimeoutExpired:
-                end_session(proc)
-                raise ProtocolError(
-                    "scorer %s ran longer than %g s and was killed" % (command, timeout)
-                ) from None
-            except BaseException:  # Ctrl-C no longer reaches the scorer's session
-                end_session(proc)
+            except BaseException as exc:  # a timeout, Ctrl-C, a signal, a bug
+                # the scorer leads its own session, so this also ends what it started
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                proc.wait()
+                if isinstance(exc, subprocess.TimeoutExpired):
+                    raise ProtocolError(
+                        "scorer %s ran longer than %g s and was killed"
+                        % (command, timeout)
+                    ) from None
                 raise
         if proc.returncode != 0:
             raise ProtocolError(

@@ -138,14 +138,12 @@ def run_build_dataset(
     }
 
 
-def run_agreement(rows_path: str | Path, key_mode: str = "normalized") -> dict:
+def run_agreement(rows_path: str | Path) -> dict:
     from . import agreement as agreement_mod
     from . import dataset as dataset_mod
     from . import ingest as ingest_mod
 
-    groups = dataset_mod.group_comments(
-        ingest_mod.read_rows(rows_path), key_mode=key_mode
-    )
+    groups = dataset_mod.group_comments(ingest_mod.read_rows(rows_path))
     labels, values = agreement_mod.level_agreement_items(groups)
     if not labels:
         raise FormatError("no groups with exactly 3 usable annotations")

@@ -213,27 +213,6 @@ def test_build_dataset_counts_distinct_keys_of_both_modes(tmp_path, key_mode):
     assert "Distinct keys: 4 normalized, 6 raw" in text
 
 
-@pytest.mark.parametrize(
-    "flags, groups_total, items",
-    [([], 3, 3), (["--key", "normalized"], 3, 3), (["--key", "raw"], 5, 2)],
-)
-def test_agreement_groups_by_the_chosen_key(tmp_path, capsys, flags, groups_total, items):
-    levels = ["MSA", "Little", "Most"]
-    # three diacritic variants of one comment, one annotation each
-    rows = [
-        make_row(article_id="art1", text=text, level=levels[w], worker="w%d" % w)
-        for w, text in enumerate(["كتب", "كتَب", "كُتُب"])
-    ]
-    rows += [
-        make_row(article_id="art1", text=text, level=levels[w], worker="w%d" % w)
-        for text in ["نص", "نص آخر"]
-        for w in range(3)
-    ]
-    assert run(["agreement", write_rows_file(tmp_path, rows), "--json"] + flags) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert (report["groups_total"], report["items"]) == (groups_total, items)
-
-
 def test_build_dataset_header_only_rows_exits_2(tmp_path, capsys):
     rows_file = write_rows_file(tmp_path, [])
     assert run(["build-dataset", rows_file, "-o", tmp_path / "out"]) == 2
@@ -264,7 +243,7 @@ def test_build_dataset_non_utf8_rows_exits_2(tmp_path, capsys):
 
 
 def test_internal_value_error_is_not_reported_as_bad_input(tmp_path, monkeypatch):
-    def broken(rows_path, key_mode):
+    def broken(rows_path):
         raise ValueError("internal bug")
 
     monkeypatch.setattr(pipeline, "run_agreement", broken)
@@ -727,7 +706,10 @@ def test_scorer_timeout_kills_what_the_scorer_started(tmp_path, capsys):
     )
     assert run(argv) == 3
     assert "ran longer than 0.5 s and was killed" in capsys.readouterr().err
-    pid = int(pid_file.read_text())
+    _assert_exits_soon(int(pid_file.read_text()))
+
+
+def _assert_exits_soon(pid):
     try:
         deadline = time.monotonic() + 5
         while not _has_exited(pid) and time.monotonic() < deadline:
@@ -736,6 +718,35 @@ def test_scorer_timeout_kills_what_the_scorer_started(tmp_path, capsys):
     finally:
         if not _has_exited(pid):
             os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP])
+def test_a_signal_that_ends_aldikit_kills_what_the_scorer_started(tmp_path, signum):
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("جملة\n", encoding="utf-8")
+    pid_file = tmp_path / "sleep.pid"
+    scorer = "sh -c 'sleep 60 & echo $! > %s; wait'" % pid_file
+    argv = _scorer_argv("score", sentences, "--scorer-cmd", scorer)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "aldikit.cli", *map(str, argv)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not pid_file.is_file() or not pid_file.read_text().endswith("\n"):
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        child.send_signal(signum)
+        child.wait(timeout=30)
+        _assert_exits_soon(int(pid_file.read_text()))
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+    assert child.returncode == 128 + signum
 
 
 @pytest.mark.parametrize("command", ["score", "contrastive"])

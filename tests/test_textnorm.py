@@ -61,6 +61,30 @@ def random_text(rng: random.Random, max_len: int = 30) -> str:
     )
 
 
+# Characters that NFC leaves alone and normalize neither strips nor splits on.
+CLEAN_ALPHABET = (
+    list("ابتجدزكلمنهويءآأإةى")
+    + list("٠١٢٣٤٥٦٧٨٩0123456789")
+    + list(".,!?-():;'\"،؛؟٪%=«»+$")
+    + list("abcXYZ\xe9")
+)
+MARKS = [chr(cp) for cp in range(0x064B, 0x0653)] + ["\u0640"]  # tashkeel, tatweel
+
+
+def clean_text(rng: random.Random) -> str:
+    """Single-spaced words, already normalized."""
+    words = [
+        "".join(rng.choice(CLEAN_ALPHABET) for _ in range(rng.randrange(1, 8)))
+        for _ in range(rng.randrange(1, 8))
+    ]
+    return " ".join(words)
+
+
+def insert(rng: random.Random, text: str, piece: str) -> str:
+    at = rng.randrange(len(text) + 1)
+    return text[:at] + piece + text[at:]
+
+
 TOKENIZE_FIXTURES = [
     "",
     "جدا....",
@@ -173,6 +197,12 @@ def test_normalize_matches_reference_random():
     for _ in range(3000):
         text = random_text(rng)
         assert normalize(text) == reference_normalize(text), repr(text)
+    # clean text with one piece inserted sits at the edge of each fast path
+    pieces = [MARKS, WHITESPACE, [" "], ["\u0627" + mark + "\u0653" for mark in MARKS]]
+    rng = random.Random(20231023)
+    for _ in range(3000):
+        text = insert(rng, clean_text(rng), rng.choice(rng.choice(pieces)))
+        assert normalize(text) == reference_normalize(text), repr(text)
 
 
 def test_normalize_matches_reference_on_fixtures():
@@ -200,68 +230,9 @@ def test_no_whitespace_character_but_space_is_printable():
     assert printable == ["U+0020"]
 
 
-# Characters that NFC leaves alone and normalize neither strips nor splits on.
-CLEAN_ALPHABET = (
-    list("ابتجدزكلمنهويءآأإةى")
-    + list("٠١٢٣٤٥٦٧٨٩0123456789")
-    + list(".,!?-():;'\"،؛؟٪%=«»+$")
-    + list("abcXYZ\xe9")
-)
-MARKS = [chr(cp) for cp in range(0x064B, 0x0653)] + ["\u0640"]  # tashkeel, tatweel
-
-
-def clean_text(rng: random.Random) -> str:
-    """Single-spaced words, already normalized."""
-    words = [
-        "".join(rng.choice(CLEAN_ALPHABET) for _ in range(rng.randrange(1, 8)))
-        for _ in range(rng.randrange(1, 8))
-    ]
-    return " ".join(words)
-
-
-def insert(rng: random.Random, text: str, piece: str) -> str:
-    at = rng.randrange(len(text) + 1)
-    return text[:at] + piece + text[at:]
-
-
 def test_normalize_returns_clean_text_itself():
     rng = random.Random(20231022)
     for _ in range(500):
         text = clean_text(rng)
         assert reference_normalize(text) == text, repr(text)
         assert normalize(text) is text, repr(text)
-
-
-def test_normalize_strips_1_to_7_marks_like_the_reference():
-    rng = random.Random(20231023)
-    for _ in range(500):
-        text = clean_text(rng)
-        for _ in range(rng.randrange(1, 8)):
-            text = insert(rng, text, rng.choice(MARKS))
-        assert normalize(text) == reference_normalize(text), repr(text)
-
-
-def test_normalize_collapses_a_non_ascii_space_like_the_reference():
-    rng = random.Random(20231024)
-    others = [ch for ch in WHITESPACE if ch != " "]
-    for _ in range(500):
-        text = insert(rng, clean_text(rng), rng.choice(others))
-        assert normalize(text) == reference_normalize(text), repr(text)
-
-
-def test_normalize_trims_an_edge_or_double_space_like_the_reference():
-    rng = random.Random(20231025)
-    for _ in range(200):
-        text = clean_text(rng)
-        text = rng.choice([" " + text, text + " ", insert(rng, text, " ")])
-        assert normalize(text) == reference_normalize(text), repr(text)
-
-
-def test_normalize_composes_what_a_stripped_mark_separated():
-    # alef + mark + madda composes to alef-madda only once the mark is gone
-    rng = random.Random(20231026)
-    for _ in range(200):
-        mark = rng.choice(MARKS)
-        text = insert(rng, clean_text(rng), "\u0627" + mark + "\u0653")
-        assert normalize(text) == reference_normalize(text), repr(text)
-        assert "\u0622" in normalize(text), repr(text)
