@@ -36,14 +36,6 @@ def _version_string() -> str:
     return "aldikit %s (formats: %s)" % (__version__, formats)
 
 
-def _score_formatter(full_precision: bool):
-    if full_precision:
-        return lambda v: repr(float(v))
-    from .estimators import format_score
-
-    return format_score
-
-
 # --estimator kind -> (the flag naming its input,
 # factory(estimators module, input, batch size, scorer timeout)); the input is
 # a file, or the scorer command line for "external"
@@ -147,7 +139,6 @@ def _cmd_build_dataset(args):
         args.output,
         seed=args.seed,
         assignment_path=args.splits,
-        key_mode=args.key,
         command=args.argv,
     )
     return summary, (
@@ -175,7 +166,7 @@ def _cmd_build_lexicon(args):
 
     with open(args.corpus, encoding="utf-8") as fh:
         lexicon, counts = est_mod.build_lexicon(fh, min_occurrences=args.min_count)
-    est_mod.save_lexicon(lexicon, args.output, counts if args.counts else None)
+    est_mod.save_lexicon(lexicon, args.output)
     write_sidecar(
         args.output, args.argv, [args.corpus],
         tokens=len(lexicon), min_count=args.min_count,
@@ -213,7 +204,7 @@ def _cmd_score(args):
         raise FormatError("%s contains no sentences" % source_path)
     estimator = _make_estimator(args)
     scores = estimator.score_many(sentences)
-    fmt = _score_formatter(args.full_precision)
+    fmt = est_mod.format_score
     table = "".join("%d\t%s\n" % (i, fmt(s)) for i, s in enumerate(scores, start=1))
     if not args.output:
         return None, table
@@ -285,6 +276,7 @@ def _cmd_dprime(args):
 
 def _cmd_contrastive(args):
     from . import evaluation as eval_mod
+    from .estimators import format_score
     from .manifest import write_output, write_sidecar
 
     pairs = eval_mod.read_pairs_file(args.pairs_file)
@@ -305,7 +297,7 @@ def _cmd_contrastive(args):
             "contrastive needs at least one of --lexicon/--di-labels/--tags/--scorer-cmd"
         )
     rows = eval_mod.contrastive_matrix(pairs, estimators)
-    table = eval_mod.render_matrix_tsv(rows, _score_formatter(args.full_precision))
+    table = eval_mod.render_matrix_tsv(rows, format_score)
     payload = {
         "rows": [
             {
@@ -328,19 +320,18 @@ def _cmd_speech(args):
     from pathlib import Path
 
     from . import speech as speech_mod
-    from .estimators import read_label_file
+    from .estimators import format_score, read_label_file
     from .manifest import write_sidecar
     from .svgplot import emit_plot
 
     sentences = speech_mod.segment_html_file(args.html_file, args.mode)
     estimator = _make_estimator(args)
     di_labels = read_label_file(args.di_labels) if args.di_labels else None
-    document_id = args.doc_id or Path(args.html_file).stem
+    document_id = Path(args.html_file).stem
     series = speech_mod.score_series(document_id, sentences, estimator, di_labels)
-    fmt = _score_formatter(args.full_precision)
     outputs = []
     if args.output:
-        speech_mod.write_series_csv(series, args.output, fmt)
+        speech_mod.write_series_csv(series, args.output, format_score)
         outputs.append(args.output)
     if args.plot:
         emit_plot(series, args.plot)
@@ -386,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rows_file")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--splits", help="article-to-split assignment file to replay")
-    p.add_argument("--key", choices=("normalized", "raw"), default="normalized")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_build_dataset)
@@ -399,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-lexicon", help="frequency-thresholded token set")
     p.add_argument("corpus")
     p.add_argument("--min-count", type=int, default=2)
-    p.add_argument("--counts", action="store_true", help="store counts in the file")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_build_lexicon)
@@ -409,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sentences", help="text file, one sentence per line")
     p.add_argument("--from-dataset", help="take texts from a built dataset file")
     p.add_argument("-o", "--output")
-    p.add_argument("--full-precision", action="store_true")
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("evaluate", help="RMSE of predictions against gold")
@@ -434,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scorer-cmd")
     _add_scorer_flags(p)
     p.add_argument("-o", "--output")
-    p.add_argument("--full-precision", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_contrastive)
 
@@ -443,10 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=("br", "p"))
     _add_estimator_flags(p)
     p.add_argument("--di-labels-file", dest="di_labels", help="DI label per segment")
-    p.add_argument("--doc-id")
     p.add_argument("-o", "--output", help="series CSV path")
     p.add_argument("--plot", help="SVG scatter path")
-    p.add_argument("--full-precision", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_speech)
 
@@ -457,8 +442,15 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     args.argv = argv
+    import warnings
+
     try:
-        payload, text = args.func(args)
+        with warnings.catch_warnings():
+            # a library warning is one line on stderr, without a source path
+            warnings.showwarning = lambda message, *_: print(
+                "warning: %s" % message, file=sys.stderr
+            )
+            payload, text = args.func(args)
         if getattr(args, "json", False):
             text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
             text += "\n"

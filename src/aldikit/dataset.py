@@ -2,8 +2,8 @@
 
 Pipeline stages, in order:
 
-1. group identical sentences on the same article (identity key uses
-   normalized text by default, raw text behind a flag),
+1. group identical sentences on the same article, keyed on their
+   normalized text (diacritics and tatweel stripped),
 2. discard junk groups where at least 2/3 of the level annotations are
    Missing or NotArabic, and classify what got discarded,
 3. aggregate the ordinal level labels (MSA=0, Little=1/3, Mixed=2/3, Most=1)
@@ -128,28 +128,22 @@ def format_thirds(k: int, n: int) -> str:
 # Step: grouping
 
 
-def group_comments(
-    rows: Iterable[AnnotationRow], key_mode: str = "normalized"
-) -> list[CommentGroup]:
-    """Group annotations by (source, article_id, text key) in one pass.
+def group_comments(rows: Iterable[AnnotationRow]) -> list[CommentGroup]:
+    """Group annotations by (source, article_id, normalized text) in one pass.
 
     ``rows`` is read once, so a generator streams straight into the groups.
     Returned groups are ordered by first appearance. A group's
-    ``canonical_text`` is the normalized text of its first row under either
-    key mode, and its kind is "comment" once any of its rows is a comment.
+    ``canonical_text`` is its key's normalized text, ``raw_text`` the text of
+    its first row, and its kind is "comment" once any of its rows is a comment.
     """
-    if key_mode not in ("normalized", "raw"):
-        raise FormatError("unknown grouping key mode %r" % key_mode)
-    raw = key_mode == "raw"
     groups: dict[tuple[str, str, str], CommentGroup] = {}
     for row in rows:
         text = row.sentence_text
-        key = (row.source, row.article_id, text if raw else textnorm.normalize(text))
+        key = (row.source, row.article_id, textnorm.normalize(text))
         group = groups.get(key)
         if group is None:
-            canonical = textnorm.normalize(text) if raw else key[2]
             group = groups[key] = CommentGroup(
-                row.source, row.article_id, canonical, text, row.kind, [], []
+                row.source, row.article_id, key[2], text, row.kind, [], []
             )
         elif row.kind == "comment" and group.kind == "control":
             group.kind = "comment"
@@ -203,7 +197,7 @@ def categorize_discard(group: CommentGroup) -> str:
     compact = [ch for ch in text if not ch.isspace()]
     if compact and all(textnorm._is_punct(ch) for ch in compact):
         return "Symbols"
-    tokens = textnorm.tokenize(textnorm.normalize(text))
+    tokens = textnorm.tokenize(group.canonical_text)
     words = [t for t in tokens if not all(textnorm._is_punct(ch) for ch in t)]
     if words:
         latin = [t for t in words if _LATINISH_RE.match(t)]

@@ -23,7 +23,6 @@ import math
 import os
 from collections import Counter
 from decimal import ROUND_HALF_EVEN, Decimal
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -96,17 +95,10 @@ def build_lexicon(
     return Lexicon(kept, min_occurrences), counts
 
 
-def save_lexicon(
-    lexicon: Lexicon, path: str | Path, counts: Counter | None = None
-) -> None:
-    """One sorted token per line, optional tab-separated count, v1 header."""
+def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
+    """One sorted token per line, under the v1 header."""
     header = "%s min_count=%d\n" % (LEXICON_MAGIC, lexicon.min_count)
-    tokens = sorted(lexicon.tokens)
-    if counts is None:
-        lines = (token + "\n" for token in tokens)
-    else:
-        lines = ("%s\t%d\n" % (token, counts[token]) for token in tokens)
-    write_output(path, chain([header], lines))
+    write_output(path, [header, *(token + "\n" for token in sorted(lexicon.tokens))])
 
 
 def load_lexicon(path: str | Path) -> Lexicon:

@@ -71,7 +71,6 @@ def run_build_dataset(
     out_dir: str | Path,
     seed: int,
     assignment_path: str | Path | None = None,
-    key_mode: str = "normalized",
     command: Sequence[str] | None = None,
 ) -> dict:
     from . import dataset as dataset_mod
@@ -87,16 +86,12 @@ def run_build_dataset(
             raw_keys.add((row.source, row.article_id, row.sentence_text))
             yield row
 
-    # under --key raw every group is one raw key, so no key set is needed
-    raw_mode = key_mode == "raw"
-    groups = dataset_mod.group_comments(
-        ingest_mod.read_rows(rows_path) if raw_mode else rows(), key_mode=key_mode
-    )
+    groups = dataset_mod.group_comments(rows())
     if not groups:
         raise FormatError("%s contains no annotation rows" % rows_path)
     distinct_keys = {
         "normalized": dataset_mod.count_distinct_keys(groups),
-        "raw": len(groups) if raw_mode else len(raw_keys),
+        "raw": len(raw_keys),
     }
     del raw_keys  # freed before the later stages allocate
 
@@ -113,7 +108,7 @@ def run_build_dataset(
 
     stats = dataset_mod.corpus_stats(kept, discarded)
     stats["distinct_keys"] = distinct_keys
-    stats["key_mode"] = key_mode
+    stats["key_mode"] = "normalized"  # a dataset-v1 field: stats.json keeps its bytes
     stats["seed"] = seed
 
     write_output(out_dir / "dataset.tsv", dataset_mod.dataset_lines(kept))
@@ -128,7 +123,6 @@ def run_build_dataset(
         list(command or []),
         inputs,
         seed=seed,
-        key_mode=key_mode,
     )
     return {
         "groups": stats["groups"],

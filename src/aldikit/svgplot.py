@@ -91,15 +91,15 @@ def render_svg(series: ScoreSeries) -> str:
             '<text x="%d" y="%s" font-family="sans-serif" font-size="10" '
             'text-anchor="end">%s</text>' % (left - 6, _fmt(y + 3), _fmt(tick))
         )
-    n = len(series.points)
-    for idx in sorted({1, n}):
-        x = plot_coordinates(series)[idx - 1][0]
+    coords = plot_coordinates(series)
+    for idx in sorted({1, len(coords)}):
+        x = coords[idx - 1][0]
         parts.append(
             '<text x="%s" y="%d" font-family="sans-serif" font-size="10" '
             'text-anchor="middle">%d</text>' % (_fmt(x), bottom + 16, idx)
         )
 
-    for point, (x, y) in zip(series.points, plot_coordinates(series)):
+    for point, (x, y) in zip(series.points, coords):
         color = color_of.get(point.di_label, _PALETTE[0])
         parts.append(
             '<circle class="pt" cx="%s" cy="%s" r="%s" fill="%s"/>'

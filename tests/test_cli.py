@@ -192,8 +192,7 @@ def test_build_dataset_outputs(tmp_path, capsys):
     assert discarded[1].split("\t")[3] == "Symbols"
 
 
-@pytest.mark.parametrize("key_mode", ["normalized", "raw"])
-def test_build_dataset_counts_distinct_keys_of_both_modes(tmp_path, key_mode):
+def test_build_dataset_counts_normalized_and_raw_keys(tmp_path):
     texts = [  # (article, text): 6 distinct raw keys, 4 normalized ones
         ("art1", "كتب"), ("art1", "كتب"), ("art1", "كتَب"), ("art1", "ارض"),
         ("art2", "كتب"), ("art2", "كُتُب"), ("art3", "نص"),
@@ -204,11 +203,10 @@ def test_build_dataset_counts_distinct_keys_of_both_modes(tmp_path, key_mode):
         for w in range(3)
     ]
     out_dir = tmp_path / "out"
-    argv = ["build-dataset", write_rows_file(tmp_path, rows), "--key", key_mode]
-    assert run(argv + ["-o", out_dir]) == 0
+    assert run(["build-dataset", write_rows_file(tmp_path, rows), "-o", out_dir]) == 0
     stats = json.loads((out_dir / "stats.json").read_text(encoding="utf-8"))
     assert stats["distinct_keys"] == {"normalized": 4, "raw": 6}
-    assert stats["groups"]["total"] == {"normalized": 4, "raw": 6}[key_mode]
+    assert stats["groups"]["total"] == 4
     text = (out_dir / "stats.txt").read_text(encoding="utf-8")
     assert "Distinct keys: 4 normalized, 6 raw" in text
 
@@ -279,6 +277,44 @@ def test_agreement_command(tmp_path, capsys):
     assert report["items"] == 24
     assert -1.0 <= report["fleiss_kappa"] <= 1.0
     assert report["krippendorff_alpha_interval"] <= 1.0
+
+
+def _single_category_agreement(tmp_path):
+    rows = [
+        make_row(article_id="a%d" % a, level="Most", worker="w%d" % w)
+        for a in range(3)
+        for w in range(3)
+    ]
+    return ["agreement", write_rows_file(tmp_path, rows), "--json"]
+
+
+def _unclosed_paragraph_speech(tmp_path):
+    html = tmp_path / "unclosed.html"
+    html.write_text("<p>a<p>b</p>", encoding="utf-8")
+    lexicon = DATA_DIR / "contrastive_lexicon.txt"
+    return ["speech", html, "--mode", "p", "--estimator", "lexicon",
+            "--lexicon", lexicon]
+
+
+@pytest.mark.parametrize(
+    "argv, warning",
+    [
+        (_single_category_agreement,
+         "all ratings fall in a single category; kappa is 1 by convention"),
+        (_unclosed_paragraph_speech, "1 markup anomalies handled best-effort"),
+    ],
+    ids=("agreement", "speech"),
+)
+def test_a_library_warning_is_one_line_on_stderr(tmp_path, argv, warning):
+    proc = subprocess.run(
+        [sys.executable, "-m", "aldikit.cli", *map(str, argv(tmp_path))],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.decode("utf-8") == "warning: %s\n" % warning
+    assert proc.stdout
 
 
 def test_build_lexicon_and_score(tmp_path, capsys):

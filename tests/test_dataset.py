@@ -26,7 +26,7 @@ def make_group(levels, kind="comment", source="AlGhad", article="a1", text="نص
     return CommentGroup(
         source=source,
         article_id=article,
-        canonical_text=text,
+        canonical_text=normalize(text),
         raw_text=text,
         kind=kind,
         levels=list(levels),
@@ -57,19 +57,15 @@ def test_same_text_different_articles_stay_apart():
 
 
 def test_normalized_key_merges_diacritic_variants():
-    rows = [make_row(text="كتب"), make_row(text="كتَب")]
-    assert len(group_comments(rows, key_mode="normalized")) == 1
-    assert len(group_comments(rows, key_mode="raw")) == 2
+    rows = [make_row(text="كتَب"), make_row(text="كتب")]
+    assert len(group_comments(rows)) == 1
     # a later text that sorts first: groups still come in first-appearance order
     rows.append(make_row(text="ارض", worker="w2"))
-    normalized = group_comments(rows, key_mode="normalized")
-    assert [g.raw_text for g in normalized] == ["كتب", "ارض"]
-    assert [len(g.levels) for g in normalized] == [2, 1]
-    raw = group_comments(rows, key_mode="raw")
-    assert [g.raw_text for g in raw] == ["كتب", "كتَب", "ارض"]
-    assert [g.canonical_text for g in raw] == ["كتب", "كتب", "ارض"]
-    # the normalized key count, from the groups of either key mode
-    assert count_distinct_keys(normalized) == count_distinct_keys(raw) == 2
+    groups = group_comments(rows)
+    assert [g.raw_text for g in groups] == ["كتَب", "ارض"]
+    assert [g.canonical_text for g in groups] == ["كتب", "ارض"]
+    assert [len(g.levels) for g in groups] == [2, 1]
+    assert count_distinct_keys(groups) == 2
 
 
 def test_group_comments_streams_a_one_shot_generator():
@@ -86,8 +82,7 @@ def test_group_comments_streams_a_one_shot_generator():
         )
         for i in range(60)
     ]
-    for key_mode in ("normalized", "raw"):
-        assert group_comments(iter(rows), key_mode) == group_comments(rows, key_mode)
+    assert group_comments(iter(rows)) == group_comments(rows)
     # each group holds its rows' labels in input order, and nothing else
     for g in group_comments(r for r in rows):
         members = [

@@ -96,14 +96,21 @@ def test_build_lexicon_normalizes_tokens():
 
 
 def test_lexicon_roundtrip(tmp_path):
-    lex, counts = build_lexicon(["a b a c c"], min_occurrences=2)
+    lex, _ = build_lexicon(["a b a c c"], min_occurrences=2)
     path = tmp_path / "lex.txt"
-    save_lexicon(lex, path, counts)
+    save_lexicon(lex, path)
     loaded = load_lexicon(path)
     assert loaded.tokens == lex.tokens
     assert loaded.min_count == 2
-    header = path.read_text(encoding="utf-8").splitlines()[0]
-    assert header == "#aldi-lexicon v1 min_count=2"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == ["#aldi-lexicon v1 min_count=2", "a", "c"]
+    # a lexicon built elsewhere may carry a count after each token
+    with_counts = tmp_path / "counts.txt"
+    with_counts.write_text(
+        "#aldi-lexicon v1 min_count=2\na\t2\nc\t2\n", encoding="utf-8"
+    )
+    from_counts = load_lexicon(with_counts)
+    assert (from_counts.tokens, from_counts.min_count) == (lex.tokens, 2)
 
 
 def test_load_lexicon_rejects_header_only_file(tmp_path):
