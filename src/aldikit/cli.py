@@ -5,8 +5,8 @@ prints and the text printed otherwise. Only ``main`` writes stdout or reads
 ``sys.argv``; it keeps the argv it parsed as ``args.argv`` for the manifests.
 
 At module level this file imports only ``argparse``, ``json``, ``shlex``,
-``sys``, the package and ``errors``. Each handler, and each estimator
-factory, imports the aldikit modules it calls, so ``--version`` loads no
+``sys``, the package and ``errors``. Each handler, and ``_estimators``,
+imports the aldikit modules it calls, so ``--version`` loads no
 other aldikit module and a subcommand loads (and, without bytecode caches,
 compiles) only the modules it runs. Keep it that way: a module-level
 import here is paid by every command.
@@ -36,29 +36,47 @@ def _version_string() -> str:
     return "aldikit %s (formats: %s)" % (__version__, formats)
 
 
-# --estimator kind -> (the flag naming its input,
-# factory(estimators module, input, batch size, scorer timeout)); the input is
-# a file, or the scorer command line for "external"
+# --estimator kind -> (the flags that only that kind reads, the first naming
+# its input; factory(estimators module, input, args)); the input is a file,
+# or the scorer command line for "external"
 _ESTIMATORS = {
-    "lexicon": ("--lexicon", lambda est, path, *_: est.LexiconEstimator(
+    "lexicon": (("--lexicon",), lambda est, path, _: est.LexiconEstimator(
         est.load_lexicon(path))),
-    "cmi": ("--tags", lambda est, path, *_: est.PositionalEstimator(
+    "cmi": (("--tags",), lambda est, path, _: est.PositionalEstimator(
         "cmi", [[tag for _, tag in s] for s in est.read_token_tag_file(path)])),
-    "binary-di": ("--labels", lambda est, path, *_: est.PositionalEstimator(
+    "binary-di": (("--labels",), lambda est, path, _: est.PositionalEstimator(
         "binary-di", est.read_label_file(path))),
-    "external": ("--scorer-cmd", lambda est, command, *limits: est.ExternalEstimator(
-        tuple(shlex.split(command)), *limits)),
+    "external": (
+        ("--scorer-cmd", "--batch-size", "--scorer-timeout"),
+        lambda est, command, args: est.ExternalEstimator(
+            tuple(shlex.split(command)), args.batch_size, args.scorer_timeout),
+    ),
 }
 
-# the flags that only an external scorer reads
-_SCORER_FLAGS = ("--batch-size", "--scorer-timeout")
+
+def _flag_value(args, flag: str):
+    return getattr(args, flag[2:].replace("-", "_"))
 
 
-def _estimator(kind: str, source: str, args):
+def _estimators(args, kinds) -> list:
+    """The estimators of ``kinds``, in table order; a flag that only another
+    kind reads is refused rather than ignored."""
     from . import estimators
 
-    factory = _ESTIMATORS[kind][1]
-    return factory(estimators, source, args.batch_size, args.scorer_timeout)
+    built = []
+    for kind, (flags, factory) in _ESTIMATORS.items():
+        values = [_flag_value(args, flag) for flag in flags]
+        if kind not in kinds:
+            for flag, value in zip(flags, values):
+                if value is not None:
+                    raise FormatError(
+                        "%s applies only to the %s estimator" % (flag, kind)
+                    )
+        elif not values[0]:
+            raise FormatError("--estimator %s requires %s" % (kind, flags[0]))
+        else:
+            built.append(factory(estimators, values[0], args))
+    return built
 
 
 def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
@@ -92,21 +110,6 @@ def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
         "--scorer-cmd", help="external scorer command line (estimator=external)"
     )
     _add_scorer_flags(parser)
-
-
-def _flag_value(args, flag: str):
-    return getattr(args, flag[2:].replace("-", "_"))
-
-
-def _make_estimator(args):
-    flag = _ESTIMATORS[args.estimator][0]
-    source = _flag_value(args, flag)
-    if not source:
-        raise FormatError("--estimator %s requires %s" % (args.estimator, flag))
-    for scorer_flag in _SCORER_FLAGS:
-        if _flag_value(args, scorer_flag) is not None and args.estimator != "external":
-            raise FormatError("%s applies only to --estimator external" % scorer_flag)
-    return _estimator(args.estimator, source, args)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +190,7 @@ def _cmd_score(args):
     from .manifest import write_output, write_sidecar
     from .pipeline import read_dataset_file
 
+    (estimator,) = _estimators(args, [args.estimator])
     if args.sentences:
         sentences = est_mod.read_label_file(args.sentences)
         source_path = args.sentences
@@ -202,7 +206,6 @@ def _cmd_score(args):
         raise FormatError("score needs --sentences or --from-dataset")
     if not sentences:
         raise FormatError("%s contains no sentences" % source_path)
-    estimator = _make_estimator(args)
     scores = estimator.score_many(sentences)
     fmt = est_mod.format_score
     table = "".join("%d\t%s\n" % (i, fmt(s)) for i, s in enumerate(scores, start=1))
@@ -279,23 +282,15 @@ def _cmd_contrastive(args):
     from .estimators import format_score
     from .manifest import write_output, write_sidecar
 
-    pairs = eval_mod.read_pairs_file(args.pairs_file)
-    if not pairs:
-        raise FormatError("%s contains no pairs" % args.pairs_file)
-    sources = (
-        ("lexicon", args.lexicon),
-        ("binary-di", args.di_labels),
-        ("cmi", args.tags),
-        ("external", args.scorer_cmd),
-    )
-    for flag in _SCORER_FLAGS:
-        if _flag_value(args, flag) is not None and not args.scorer_cmd:
-            raise FormatError("%s applies only with --scorer-cmd" % flag)
-    estimators = [_estimator(kind, source, args) for kind, source in sources if source]
+    kinds = [k for k, (f, _) in _ESTIMATORS.items() if _flag_value(args, f[0]) is not None]
+    estimators = _estimators(args, kinds)
     if not estimators:
         raise FormatError(
             "contrastive needs at least one of --lexicon/--di-labels/--tags/--scorer-cmd"
         )
+    pairs = eval_mod.read_pairs_file(args.pairs_file)
+    if not pairs:
+        raise FormatError("%s contains no pairs" % args.pairs_file)
     rows = eval_mod.contrastive_matrix(pairs, estimators)
     table = eval_mod.render_matrix_tsv(rows, format_score)
     payload = {
@@ -324,8 +319,8 @@ def _cmd_speech(args):
     from .manifest import write_sidecar
     from .svgplot import emit_plot
 
+    (estimator,) = _estimators(args, [args.estimator])
     sentences = speech_mod.segment_html_file(args.html_file, args.mode)
-    estimator = _make_estimator(args)
     di_labels = read_label_file(args.di_labels) if args.di_labels else None
     document_id = Path(args.html_file).stem
     series = speech_mod.score_series(document_id, sentences, estimator, di_labels)
@@ -395,8 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="score sentences with an estimator")
     _add_estimator_flags(p)
-    p.add_argument("--sentences", help="text file, one sentence per line")
-    p.add_argument("--from-dataset", help="take texts from a built dataset file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--sentences", help="text file, one sentence per line")
+    source.add_argument("--from-dataset", help="take texts from a built dataset file")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_score)
 
@@ -417,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contrastive", help="feature x estimator score matrix")
     p.add_argument("pairs_file")
     p.add_argument("--lexicon")
-    p.add_argument("--di-labels")
+    p.add_argument("--di-labels", dest="labels", metavar="DI_LABELS")
     p.add_argument("--tags")
     p.add_argument("--scorer-cmd")
     _add_scorer_flags(p)

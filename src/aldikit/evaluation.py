@@ -138,12 +138,10 @@ def contrastive_matrix(
     """
     texts = [p.text for p in pairs]
     rows: dict[tuple[str, str], ContrastiveRow] = {}
-    order: list[tuple[str, str]] = []
     for p in pairs:
         key = (p.feature_id, p.word_order)
         if key not in rows:
             rows[key] = ContrastiveRow(p.feature_id, p.word_order)
-            order.append(key)
 
     for estimator in estimators:
         scores = estimator.score_many(texts)
@@ -153,8 +151,7 @@ def contrastive_matrix(
                 p.variant, {}
             )[p.gender] = score
 
-    for key in order:
-        row = rows[key]
+    for row in rows.values():
         for estimator_id, by_variant in row.scores.items():
             for variant in VARIANTS:
                 if variant not in by_variant:
@@ -171,7 +168,7 @@ def contrastive_matrix(
                 mean = lambda d: sum(d.values()) / len(d)
                 if mean(msa) >= mean(egy):
                     row.flagged.add(estimator_id)
-    return [rows[key] for key in order]
+    return list(rows.values())
 
 
 _GENDER_ORDER = {"masc": 0, "fem": 1}

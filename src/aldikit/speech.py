@@ -11,7 +11,6 @@ import csv
 import io
 import warnings
 from html.parser import HTMLParser
-from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -150,17 +149,10 @@ def write_series_csv(
     series: ScoreSeries, path: str | Path, score_fmt: Callable[[float], str]
 ) -> None:
     """One CSV row per point; ``score_fmt`` renders each score."""
-
-    def lines():
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        rows = (
-            [p.index, score_fmt(p.aldi), p.di_label or "", p.sentence] for p in series.points
-        )
-        for row in chain([["index", "score", "di_label", "sentence"]], rows):
-            writer.writerow(row)
-            yield buf.getvalue()
-            buf.seek(0)
-            buf.truncate()
-
-    write_output(path, lines())
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["index", "score", "di_label", "sentence"])
+    writer.writerows(
+        [p.index, score_fmt(p.aldi), p.di_label or "", p.sentence] for p in series.points
+    )
+    write_output(path, [buf.getvalue()])

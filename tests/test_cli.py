@@ -611,18 +611,6 @@ def test_contrastive_requires_estimator(tmp_path, capsys):
     assert code == 2
 
 
-def test_contrastive_batch_size_needs_scorer(tmp_path, capsys):
-    code = run(
-        [
-            "contrastive", DATA_DIR / "contrastive_pairs_egy.tsv",
-            "--lexicon", DATA_DIR / "contrastive_lexicon.txt",
-            "--batch-size", "3",
-        ]
-    )
-    assert code == 2
-    assert "--batch-size" in capsys.readouterr().err
-
-
 def test_speech_command(tmp_path, capsys):
     html = tmp_path / "speech.html"
     html.write_text(
@@ -798,18 +786,56 @@ def test_scorer_timeout_must_be_finite_and_above_0(tmp_path, capsys, command, se
     assert "scorer timeout must be finite and above 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["score", "contrastive"])
-def test_scorer_timeout_needs_an_external_scorer(tmp_path, capsys, command):
-    sentences = tmp_path / "s.txt"
-    sentences.write_text("جملة\n", encoding="utf-8")
-    argv = (
-        ["score", "--estimator", "lexicon", "--sentences", sentences]
-        if command == "score"
-        else ["contrastive", DATA_DIR / "contrastive_pairs_egy.tsv"]
-    )
-    lexicon = ["--lexicon", DATA_DIR / "contrastive_lexicon.txt"]
-    assert run(argv + lexicon + ["--scorer-timeout", "5"]) == 2
-    assert "--scorer-timeout applies only" in capsys.readouterr().err
+_SCORE = ("score", "--sentences", "S", "--estimator")
+_LEX_FILE = ("--lexicon", DATA_DIR / "contrastive_lexicon.txt")
+_PAIRS_FILE = DATA_DIR / "contrastive_pairs_egy.tsv"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*_SCORE, "lexicon", *_LEX_FILE, "--batch-size", "3"],
+         "--batch-size applies only to the external estimator"),
+        ([*_SCORE, "lexicon", *_LEX_FILE, "--scorer-timeout", "5"],
+         "--scorer-timeout applies only to the external estimator"),
+        (["contrastive", _PAIRS_FILE, *_LEX_FILE, "--batch-size", "3"],
+         "--batch-size applies only to the external estimator"),
+        (["contrastive", _PAIRS_FILE, *_LEX_FILE, "--scorer-timeout", "5"],
+         "--scorer-timeout applies only to the external estimator"),
+        ([*_SCORE, "lexicon", *_LEX_FILE, "--labels", "/nonexistent"],
+         "--labels applies only to the binary-di estimator"),
+        ([*_SCORE, "lexicon", *_LEX_FILE, "--tags", "/nonexistent"],
+         "--tags applies only to the cmi estimator"),
+        ([*_SCORE, "lexicon", *_LEX_FILE, "--scorer-cmd", "false"],
+         "--scorer-cmd applies only to the external estimator"),
+        ([*_SCORE, "binary-di", "--labels", "DI", *_LEX_FILE],
+         "--lexicon applies only to the lexicon estimator"),
+        (["speech", "T.html", "--mode", "p", "--estimator", "lexicon", *_LEX_FILE,
+          "--labels", "/nonexistent"],
+         "--labels applies only to the binary-di estimator"),
+        ([*_SCORE, "lexicon", *_LEX_FILE, "--from-dataset", "/nonexistent"],
+         "argument --from-dataset: not allowed with argument --sentences"),
+    ],
+    ids=[
+        "score-batch-size", "score-scorer-timeout",
+        "contrastive-batch-size", "contrastive-scorer-timeout",
+        "score-labels", "score-tags", "score-scorer-cmd", "score-lexicon",
+        "speech-labels", "score-from-dataset",
+    ],
+)
+def test_a_flag_the_run_would_not_read_exits_2(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    Path("S").write_text("جملة\n", encoding="utf-8")
+    Path("DI").write_text("EGY\n", encoding="utf-8")
+    Path("T.html").write_text("<p>جملة</p>", encoding="utf-8")
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_score_json_and_stdout(tmp_path, capsys):
@@ -842,20 +868,6 @@ def test_score_rejects_batch_size_below_1(tmp_path, capsys, batch_size):
     )
     assert code == 2
     assert "batch size must be at least 1" in capsys.readouterr().err
-
-
-def test_score_batch_size_needs_external_estimator(tmp_path, capsys):
-    sentences = tmp_path / "s.txt"
-    sentences.write_text("جملة\n", encoding="utf-8")
-    code = run(
-        [
-            "score", "--estimator", "lexicon",
-            "--lexicon", DATA_DIR / "contrastive_lexicon.txt",
-            "--batch-size", "3", "--sentences", sentences,
-        ]
-    )
-    assert code == 2
-    assert "--batch-size" in capsys.readouterr().err
 
 
 # Every subcommand in text mode with its exact stdout, run in order from the
