@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import textnorm
-from .errors import AldiError, FormatError
+from .errors import AldiError, FormatError, numbered_cells
 from .ingest import AnnotationRow, LEVELS
 
 # ordinal level -> its dialectness in thirds (Little is 1/3)
@@ -71,8 +71,7 @@ class CommentGroup:
     ``levels[i]`` and ``dialects[i]`` are the labels of the group's i-th
     annotation, in input order (``""`` for no dialect). The later stages fill
     in ``aldi`` and ``split`` (kept groups) or ``category`` (discarded ones);
-    ``aldi`` is the :func:`aggregate` pair ``(k, n)``. Two groups are equal
-    when all their fields are.
+    ``aldi`` is the :func:`aggregate` pair ``(k, n)``.
     """
 
     __slots__ = (
@@ -103,17 +102,6 @@ class CommentGroup:
         self.aldi = aldi
         self.split = split
         self.category = category
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return "CommentGroup%r" % (self._fields(),)
 
 
 def format_thirds(k: int, n: int) -> str:
@@ -232,31 +220,30 @@ def load_assignment(path: str | Path) -> dict[tuple[str, str] | str, str]:
     """Read an article-to-split sidecar file.
 
     Accepts 3 columns (source, article_id, split) or 2 (article_id, split);
-    an optional header line is skipped.
+    an optional header line is skipped. An article may be listed more than
+    once, but always with the same split.
     """
     assignment: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if lineno == 1 and cells[-1] == "split":
-                continue
-            if len(cells) == 3:
-                key: tuple[str, str] | str = (cells[0], cells[1])
-            elif len(cells) == 2:
-                key = cells[0]
-            else:
-                raise FormatError(
-                    "%s: line %d must have 2 or 3 columns" % (path, lineno)
-                )
-            split = cells[-1].strip().lower()
-            if split not in ("train", "dev", "test"):
-                raise FormatError(
-                    "%s: line %d has unknown split %r" % (path, lineno, cells[-1])
-                )
-            assignment[key] = split
+    for lineno, cells in numbered_cells(path):
+        if lineno == 1 and cells[-1] == "split":
+            continue
+        if len(cells) == 3:
+            key: tuple[str, str] | str = (cells[0], cells[1])
+        elif len(cells) == 2:
+            key = cells[0]
+        else:
+            raise FormatError("%s: line %d must have 2 or 3 columns" % (path, lineno))
+        split = cells[-1].strip().lower()
+        if split not in ("train", "dev", "test"):
+            raise FormatError(
+                "%s: line %d has unknown split %r" % (path, lineno, cells[-1])
+            )
+        earlier = assignment.setdefault(key, split)
+        if earlier != split:
+            raise FormatError(
+                "%s: line %d moves article %r from %s to %s"
+                % (path, lineno, cells[-2], earlier, split)
+            )
     return assignment
 
 

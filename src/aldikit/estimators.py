@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import textnorm
-from .errors import FormatError, ProtocolError
+from .errors import FormatError, ProtocolError, numbered_cells
 from .manifest import write_output
 
 TOKEN_TAGS = ("MSA", "EGY", "NamedEntity", "Ambiguous", "Mixed", "Other")
@@ -102,23 +102,19 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(LEXICON_MAGIC):
-            raise FormatError("%s: not a lexicon file (bad header)" % path)
-        min_count = 1
-        for part in header.split():
-            if part.startswith("min_count="):
-                try:
-                    min_count = int(part.split("=", 1)[1])
-                except ValueError:
-                    raise FormatError("%s: unreadable min_count" % path) from None
-        tokens = set()
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            tokens.add(line.split("\t", 1)[0])
+    lines = numbered_cells(path)
+    lineno, cells = next(lines, (0, []))
+    header = "\t".join(cells)
+    if lineno != 1 or not header.startswith(LEXICON_MAGIC):
+        raise FormatError("%s: not a lexicon file (bad header)" % path)
+    min_count = 1
+    for part in header.split():
+        if part.startswith("min_count="):
+            try:
+                min_count = int(part.split("=", 1)[1])
+            except ValueError:
+                raise FormatError("%s: unreadable min_count" % path) from None
+    tokens = {cells[0] for _, cells in lines}
     if not tokens:
         raise FormatError("%s: lexicon holds no tokens" % path)
     return Lexicon(frozenset(tokens), min_count)

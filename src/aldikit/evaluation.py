@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import AldiError, FormatError
+from .errors import AldiError, FormatError, check_width, numbered_cells
 
 
 class ScoredPair(NamedTuple):
@@ -104,25 +104,16 @@ PAIRS_HEADER = ("feature_id", "variant", "word_order", "gender", "text")
 
 def read_pairs_file(path: str | Path) -> list[ContrastivePair]:
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if lineno == 1 and tuple(cells) == PAIRS_HEADER:
-                continue
-            if len(cells) != len(PAIRS_HEADER):
-                raise FormatError(
-                    "%s: line %d has %d columns, expected %d"
-                    % (path, lineno, len(cells), len(PAIRS_HEADER))
-                )
-            feature_id, variant, word_order, gender, text = cells
-            if variant not in VARIANTS:
-                raise FormatError(
-                    "%s: line %d has unknown variant %r" % (path, lineno, variant)
-                )
-            pairs.append(ContrastivePair(feature_id, variant, word_order, gender, text))
+    for lineno, cells in numbered_cells(path):
+        if lineno == 1 and tuple(cells) == PAIRS_HEADER:
+            continue
+        check_width(path, lineno, cells, len(PAIRS_HEADER))
+        feature_id, variant, word_order, gender, text = cells
+        if variant not in VARIANTS:
+            raise FormatError(
+                "%s: line %d has unknown variant %r" % (path, lineno, variant)
+            )
+        pairs.append(ContrastivePair(feature_id, variant, word_order, gender, text))
     return pairs
 
 

@@ -20,7 +20,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import FormatError
+from .errors import FormatError, check_width, numbered_cells
 
 LEVELS = ("MSA", "Little", "Mixed", "Most", "NotArabic", "Missing")
 DIALECTS = ("EGY", "LEV", "GLF", "MAG", "IRQ", "GEN", "Unfamiliar", "Other")
@@ -310,19 +310,14 @@ def parse_hit_file(
     number); otherwise the line is skipped and the message appended to
     ``error_log`` when given.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            cells = line.split("\t")
-            try:
-                yield _parse_hit_line(cells, column_map, lineno)
-            except FormatError as exc:
-                if strict:
-                    raise
-                if error_log is not None:
-                    error_log.append(str(exc))
+    for lineno, cells in numbered_cells(path):
+        try:
+            yield _parse_hit_line(cells, column_map, lineno)
+        except FormatError as exc:
+            if strict:
+                raise
+            if error_log is not None:
+                error_log.append(str(exc))
 
 
 def _sanitize_text(text: str) -> str:
@@ -379,33 +374,25 @@ def read_rows(path: str | Path) -> Iterator[AnnotationRow]:
     Label cells come back as the ``LEVELS``/``KINDS``/``SOURCES``/``DIALECTS``
     string objects themselves, not as fresh copies.
     """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header.split("\t") != list(ROWS_HEADER):
-            raise FormatError("%s: missing or wrong annotation-row header" % path)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != len(ROWS_HEADER):
-                raise FormatError(
-                    "%s: line %d has %d columns, expected %d"
-                    % (path, lineno, len(cells), len(ROWS_HEADER))
-                )
-            (source, article_id, kind, level, dialect, worker, residence,
-             native, best, text) = cells
-            try:
-                row = AnnotationRow(
-                    _SOURCE_CELLS[source], article_id, _KIND_CELLS[kind],
-                    _LEVEL_CELLS[level], _DIALECT_CELLS[dialect], worker,
-                    residence or None, _NATIVE_CELLS[native], best or None, text,
-                )
-            except KeyError:
-                what, cell = next(
-                    (what, cells[i]) for i, what, table in _CELL_CHECKS if cells[i] not in table
-                )
-                raise FormatError(
-                    "%s: line %d has unknown %s %r" % (path, lineno, what, cell)
-                ) from None
-            yield row
+    lines = numbered_cells(path)
+    lineno, header = next(lines, (0, []))
+    if lineno != 1 or header != list(ROWS_HEADER):
+        raise FormatError("%s: missing or wrong annotation-row header" % path)
+    for lineno, cells in lines:
+        check_width(path, lineno, cells, len(ROWS_HEADER))
+        (source, article_id, kind, level, dialect, worker, residence,
+         native, best, text) = cells
+        try:
+            row = AnnotationRow(
+                _SOURCE_CELLS[source], article_id, _KIND_CELLS[kind],
+                _LEVEL_CELLS[level], _DIALECT_CELLS[dialect], worker,
+                residence or None, _NATIVE_CELLS[native], best or None, text,
+            )
+        except KeyError:
+            what, cell = next(
+                (what, cells[i]) for i, what, table in _CELL_CHECKS if cells[i] not in table
+            )
+            raise FormatError(
+                "%s: line %d has unknown %s %r" % (path, lineno, what, cell)
+            ) from None
+        yield row

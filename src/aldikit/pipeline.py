@@ -21,7 +21,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
-from .errors import FormatError
+from .errors import FormatError, check_width, numbered_cells
 
 
 def run_ingest(
@@ -157,33 +157,31 @@ def read_score_file(path: str | Path) -> dict[int, float]:
 
     A bare score takes its data-line ordinal as id; blank and '#' lines are
     not counted, so ids line up with the dataset ordinals. An id may occur
-    only once.
+    only once, and a line holds 1 or 2 cells.
     """
     scores: dict[int, float] = {}
     ordinal = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            ordinal += 1
-            parts = line.split("\t")
-            try:
-                if len(parts) == 1:
-                    key, value = ordinal, float(parts[0])
-                else:
-                    key, value = int(parts[0]), float(parts[-1])
-            except ValueError:
-                raise FormatError(
-                    "%s: line %d is not 'id<TAB>score'" % (path, lineno)
-                ) from None
-            if not math.isfinite(value):
-                raise FormatError(
-                    "%s: line %d has non-finite score %r" % (path, lineno, parts[-1])
-                )
-            if key in scores:
-                raise FormatError("%s: line %d repeats id %d" % (path, lineno, key))
-            scores[key] = value
+    for lineno, cells in numbered_cells(path):
+        if not "".join(cells).strip() or cells[0].startswith("#"):
+            continue
+        ordinal += 1
+        try:
+            if len(cells) == 1:
+                key, value = ordinal, float(cells[0])
+            else:
+                key_cell, value_cell = cells  # a 3rd cell is a ValueError too
+                key, value = int(key_cell), float(value_cell)
+        except ValueError:
+            raise FormatError(
+                "%s: line %d is not 'id<TAB>score'" % (path, lineno)
+            ) from None
+        if not math.isfinite(value):
+            raise FormatError(
+                "%s: line %d has non-finite score %r" % (path, lineno, cells[-1])
+            )
+        if key in scores:
+            raise FormatError("%s: line %d repeats id %d" % (path, lineno, key))
+        scores[key] = value
     if not scores:
         raise FormatError("%s contains no scores" % path)
     return scores
@@ -192,21 +190,13 @@ def read_score_file(path: str | Path) -> dict[int, float]:
 def read_dataset_file(path: str | Path, columns: Sequence[str]) -> list[tuple[str, ...]]:
     """The named columns of each row of a built dataset file; the row at
     index i has id i + 1 (blank lines are not counted, as in score files)."""
+    lines = numbered_cells(path)
+    lineno, header = next(lines, (0, []))
+    if lineno != 1 or any(name not in header for name in ("text", "aldi", *columns)):
+        raise FormatError("%s: not a dataset file" % path)
+    picks = [header.index(name) for name in columns]
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if any(name not in header for name in ("text", "aldi", *columns)):
-            raise FormatError("%s: not a dataset file" % path)
-        picks = [header.index(name) for name in columns]
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != len(header):
-                raise FormatError(
-                    "%s: row %d has %d columns, expected %d"
-                    % (path, lineno, len(cells), len(header))
-                )
-            rows.append(tuple([cells[i] for i in picks]))
+    for lineno, cells in lines:
+        check_width(path, lineno, cells, len(header))
+        rows.append(tuple([cells[i] for i in picks]))
     return rows

@@ -82,7 +82,10 @@ def test_group_comments_streams_a_one_shot_generator():
         )
         for i in range(60)
     ]
-    assert group_comments(iter(rows)) == group_comments(rows)
+    def slots(groups):
+        return [[getattr(g, f) for f in CommentGroup.__slots__] for g in groups]
+
+    assert slots(group_comments(iter(rows))) == slots(group_comments(rows))
     # each group holds its rows' labels in input order, and nothing else
     for g in group_comments(r for r in rows):
         members = [

@@ -1,0 +1,375 @@
+"""Seeded property tests shared by the tab-separated input formats.
+
+Each format builds random valid files with an oracle of their parsed value,
+and breaks one line of a valid file with one fault. A file is written with
+random blank lines, LF or CRLF line ends and an optional final newline; a
+valid file must parse to the oracle's value, and a broken one must raise
+FormatError naming the path and the broken line's number in the file.
+"""
+
+import random
+import re
+from typing import Callable, NamedTuple
+
+import pytest
+
+from aldikit import dataset, estimators, evaluation, ingest, pipeline
+from aldikit.errors import FormatError
+
+# Cell text: no tab and no line end, but characters that str.splitlines
+# takes for line ends, and other whitespace.
+_TEXT = [*"كتب ابدا جدا؟!x7#", " ", "\x0b", "\x0c", "\x85", "\xa0", "\u2028"]
+_SPLITS = ("train", "dev", "test")
+
+
+def _text(rng: random.Random, low: int = 0) -> str:
+    return "".join(rng.choice(_TEXT) for _ in range(rng.randrange(low, 12)))
+
+
+def _widen_or_narrow(rng: random.Random, cells: list[str]) -> list[str]:
+    """The cells with one removed or one more inserted."""
+    cells = list(cells)
+    if rng.random() < 0.5:
+        del cells[rng.randrange(len(cells))]
+    else:
+        cells.insert(rng.randrange(len(cells) + 1), rng.choice(["", "extra"]))
+    return cells
+
+
+class Format(NamedTuple):
+    # rng -> (header lines, data lines, the oracle's parsed value)
+    valid: Callable
+    read: Callable
+    # kind -> fault(rng, data lines) -> (index of the line to replace, new line,
+    # regex the message must match after "<path>: line <n> ")
+    faults: dict
+
+
+# --- dataset.tsv ------------------------------------------------------------
+
+_DATASET_COLUMNS = ("kind", "aldi", "split", "text")
+
+
+def _dataset_valid(rng):
+    lines, expected = [], []
+    for _ in range(rng.randrange(2, 25)):
+        row = {name: _text(rng) for name in dataset.DATASET_HEADER}
+        row.update(
+            source=rng.choice(ingest.SOURCES),
+            kind=rng.choice(ingest.KINDS),
+            aldi=rng.choice(["", "0.000000", "0.333333", "1.000000"]),
+            split=rng.choice(_SPLITS + ("",)),
+        )
+        lines.append("\t".join(row[name] for name in dataset.DATASET_HEADER))
+        expected.append(tuple(row[name] for name in _DATASET_COLUMNS))
+    return ["\t".join(dataset.DATASET_HEADER)], lines, expected
+
+
+def _dataset_width(rng, lines):
+    j = rng.randrange(len(lines))
+    cells = _widen_or_narrow(rng, lines[j].split("\t"))
+    return j, "\t".join(cells), r"has %d columns, expected 12$" % len(cells)
+
+
+DATASET = Format(
+    _dataset_valid,
+    lambda path: pipeline.read_dataset_file(path, _DATASET_COLUMNS),
+    {"width": _dataset_width},
+)
+
+
+# --- score files --------------------------------------------------------------
+
+# Lines a score file skips: they take no id.
+_SCORE_SKIPS = ("# note", "#", "#\tx", "  ", "\t")
+
+
+def _scores_valid(rng):
+    lines, expected = [], {}
+    ids = rng.sample(range(100, 1000), 30)  # above every ordinal
+    for i in range(rng.randrange(2, 25)):
+        if i and rng.random() < 0.2:
+            lines.append(rng.choice(_SCORE_SKIPS))
+            continue
+        value = rng.choice([0.0, 1.0, rng.random(), -5 * rng.random()])
+        text = rng.choice([repr(value), "%.6f" % value])
+        if rng.random() < 0.5:
+            key = 1 + sum(line not in _SCORE_SKIPS for line in lines)
+            lines.append(text)
+        else:
+            key = ids.pop()
+            lines.append("%d\t%s" % (key, text))
+        expected[key] = float(text)
+    return [], lines, expected
+
+
+def _score_lines(lines):
+    return [j for j, line in enumerate(lines) if line not in _SCORE_SKIPS]
+
+
+def _scores_extra_cell(rng, lines):
+    j = rng.choice(_score_lines(lines))
+    middle = rng.choice(["junk", "0.5", ""])
+    return j, "%d\t%s\t0.5" % (rng.randrange(1, 1000), middle), "is not 'id<TAB>score'$"
+
+
+def _scores_not_numeric(rng, lines):
+    j = rng.choice(_score_lines(lines))
+    score = rng.choice(["abc", "1.2.3", "0x10", "1e", "--1", ".", ""])
+    line = rng.choice(["%d\t%s" % (rng.randrange(1, 1000), score), score or "x"])
+    return j, line, "is not 'id<TAB>score'$"
+
+
+def _scores_repeated_id(rng, lines):
+    scored = _score_lines(lines)
+    i = rng.choice(scored[:-1] or scored)
+    key = lines[i].split("\t")[0] if "\t" in lines[i] else str(scored.index(i) + 1)
+    j = rng.randrange(i + 1, len(lines)) if i + 1 < len(lines) else None
+    if j is None:  # no line after i: the repeat goes onto a new last line
+        lines.append(_SCORE_SKIPS[0])
+        j = len(lines) - 1
+    return j, "%s\t0.25" % key, "repeats id %s$" % key
+
+
+SCORES = Format(
+    _scores_valid,
+    pipeline.read_score_file,
+    {"extra-cell": _scores_extra_cell, "not-numeric": _scores_not_numeric,
+     "repeated-id": _scores_repeated_id},
+)
+
+
+# --- split assignment ---------------------------------------------------------
+
+
+def _assignment_key(line):
+    cells = line.split("\t")
+    return tuple(cells[:2]) if len(cells) == 3 else cells[0]
+
+
+def _assignment_valid(rng):
+    header = rng.choice([[], ["source\tarticle_id\tsplit"], ["article_id\tsplit"]])
+    lines, expected = [], {}
+    for _ in range(rng.randrange(2, 25)):
+        if rng.random() < 0.5:
+            key = (rng.choice(ingest.SOURCES), "a%d" % rng.randrange(12))
+        else:
+            key = "a%d" % rng.randrange(12)
+        split = expected.setdefault(key, rng.choice(_SPLITS))  # repeats keep it
+        cell = rng.choice([split, split.upper(), " %s " % split.capitalize()])
+        lines.append("\t".join([*key, cell] if isinstance(key, tuple) else [key, cell]))
+    return header, lines, expected
+
+
+def _assignment_width(rng, lines):
+    j = rng.randrange(len(lines))
+    cells = lines[j].split("\t")
+    if rng.random() < 0.5:
+        cells = cells[:1]
+    else:
+        cells = cells[:-1] + ["x"] * (4 - len(cells)) + cells[-1:]
+    return j, "\t".join(cells), "must have 2 or 3 columns$"
+
+
+def _assignment_unknown_split(rng, lines):
+    j = rng.randrange(len(lines))
+    token = rng.choice(["training", "valid", "", "tst", "dev?"])
+    cells = lines[j].split("\t")[:-1] + [token]
+    return j, "\t".join(cells), "has unknown split %s$" % re.escape(repr(token))
+
+
+def _assignment_conflict(rng, lines):
+    i = rng.randrange(len(lines) - 1)
+    j = rng.randrange(i + 1, len(lines))
+    cells = lines[i].split("\t")
+    split = next(  # the split every line of this article gives
+        line.split("\t")[-1].strip().lower()
+        for line in lines if _assignment_key(line) == _assignment_key(lines[i])
+    )
+    other = rng.choice([s for s in _SPLITS if s != split])
+    article = re.escape(repr(cells[-2]))
+    line = "\t".join(cells[:-1] + [other])
+    return j, line, "moves article %s from %s to %s$" % (article, split, other)
+
+
+ASSIGNMENT = Format(
+    _assignment_valid,
+    dataset.load_assignment,
+    {"width": _assignment_width, "unknown-split": _assignment_unknown_split,
+     "conflicting-split": _assignment_conflict},
+)
+
+
+# --- contrastive pairs --------------------------------------------------------
+
+
+def _pairs_valid(rng):
+    header = rng.choice([[], ["\t".join(evaluation.PAIRS_HEADER)]])
+    pairs = [
+        evaluation.ContrastivePair(
+            "f%d" % rng.randrange(9), rng.choice(evaluation.VARIANTS),
+            rng.choice(["SVO", "VSO"]), rng.choice(["masc", "fem", ""]), _text(rng),
+        )
+        for _ in range(rng.randrange(2, 25))
+    ]
+    return header, ["\t".join(p) for p in pairs], pairs
+
+
+def _pairs_width(rng, lines):
+    j = rng.randrange(len(lines))
+    cells = _widen_or_narrow(rng, lines[j].split("\t"))
+    return j, "\t".join(cells), r"has %d columns, expected 5$" % len(cells)
+
+
+def _pairs_unknown_variant(rng, lines):
+    j = rng.randrange(len(lines))
+    cells = lines[j].split("\t")
+    cells[1] = rng.choice(["msa", "Egy", "LEV", "", "MSA "])
+    return j, "\t".join(cells), "has unknown variant %s$" % re.escape(repr(cells[1]))
+
+
+PAIRS = Format(
+    _pairs_valid,
+    evaluation.read_pairs_file,
+    {"width": _pairs_width, "unknown-variant": _pairs_unknown_variant},
+)
+
+
+# --- lexicon --------------------------------------------------------------------
+
+
+def _lexicon_valid(rng):
+    min_count = rng.randrange(1, 9)
+    tokens = [_text(rng, low=1) for _ in range(rng.randrange(2, 25))]
+    lines = [t + rng.choice(["", "\t%d" % rng.randrange(1, 99)]) for t in tokens]
+    header = "%s min_count=%d" % (estimators.LEXICON_MAGIC, min_count)
+    return [header], lines, (frozenset(tokens), min_count)
+
+
+def _read_lexicon(path):
+    lexicon = estimators.load_lexicon(path)
+    return lexicon.tokens, lexicon.min_count
+
+
+LEXICON = Format(_lexicon_valid, _read_lexicon, {})  # its lines hold no fault
+
+
+# --- annotation rows ----------------------------------------------------------
+
+# Annotation-row cells with a closed vocabulary, by column index.
+_ROW_LABELS = {
+    0: ("source", ingest.SOURCES),
+    2: ("kind", ingest.KINDS),
+    3: ("level", ingest.LEVELS),
+    4: ("dialect", ingest.DIALECTS + ("",)),
+    7: ("native_speaker", ("yes", "no", "")),
+}
+
+
+def _rows_valid(rng):
+    lines, expected = [], []
+    for _ in range(rng.randrange(2, 25)):
+        cells = ["a%d" % rng.randrange(9), "w%d" % rng.randrange(9),
+                 rng.choice(["", "JO", "EG"]), rng.choice(["", "LEV"]), _text(rng)]
+        labels = {i: rng.choice(values) for i, (_, values) in _ROW_LABELS.items()}
+        source, kind, level, dialect, native = labels.values()
+        article, worker, residence, best, text = cells
+        lines.append("\t".join(
+            [source, article, kind, level, dialect, worker, residence, native, best, text]
+        ))
+        expected.append(ingest.AnnotationRow(
+            source, article, kind, level, dialect or None, worker, residence or None,
+            {"yes": True, "no": False, "": None}[native], best or None, text,
+        ))
+    return ["\t".join(ingest.ROWS_HEADER)], lines, expected
+
+
+def _rows_width(rng, lines):
+    j = rng.randrange(len(lines))
+    cells = _widen_or_narrow(rng, lines[j].split("\t"))
+    return j, "\t".join(cells), r"has %d columns, expected 10$" % len(cells)
+
+
+def _rows_unknown_label(rng, lines):
+    j = rng.randrange(len(lines))
+    cells = lines[j].split("\t")
+    i = rng.choice(list(_ROW_LABELS))
+    what, values = _ROW_LABELS[i]
+    cells[i] = rng.choice([t for t in ("msa", "Comment", "MSA ", "?", "Yes", "")
+                           if t not in values])
+    return j, "\t".join(cells), "has unknown %s %s$" % (what, re.escape(repr(cells[i])))
+
+
+ROWS = Format(
+    _rows_valid,
+    lambda path: list(ingest.read_rows(path)),
+    {"width": _rows_width, "unknown-label": _rows_unknown_label},
+)
+
+
+FORMATS = {
+    "dataset": DATASET, "scores": SCORES, "assignment": ASSIGNMENT,
+    "pairs": PAIRS, "lexicon": LEXICON, "rows": ROWS,
+}
+
+
+def _write(path, rng, header, lines, end):
+    """Write the header on line 1, then the data lines with random blank lines
+    before each; return each data line's number in the file."""
+    out, numbers = list(header), []
+    for line in lines:
+        out += [""] * rng.choice([0, 0, 0, 1, 2])
+        out.append(line)
+        numbers.append(len(out))
+    path.write_bytes((end.join(out) + rng.choice(["", end])).encode("utf-8"))
+    return numbers
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_valid_files_parse_to_the_oracle_with_lf_or_crlf(tmp_path, name):
+    fmt = FORMATS[name]
+    rng = random.Random("valid-" + name)
+    for case in range(60):
+        header, lines, expected = fmt.valid(rng)
+        layout = rng.random()
+        for end in ("\n", "\r\n"):
+            path = tmp_path / ("%s%d.tsv" % (name, case))
+            _write(path, random.Random(layout), header, lines, end)
+            assert fmt.read(path) == expected, (case, end)
+
+
+@pytest.mark.parametrize("name", [name for name in FORMATS if FORMATS[name].faults])
+def test_one_fault_names_the_path_and_its_file_line(tmp_path, name):
+    fmt = FORMATS[name]
+    rng = random.Random("fault-" + name)
+    seen = set()
+    for case in range(90):
+        header, lines, _ = fmt.valid(rng)
+        kind = rng.choice(sorted(fmt.faults))
+        seen.add(kind)
+        j, lines[j], pattern = fmt.faults[kind](rng, lines)
+        path = tmp_path / ("%s%d.tsv" % (name, case))
+        numbers = _write(path, rng, header, lines, rng.choice(["\n", "\r\n"]))
+        with pytest.raises(FormatError) as excinfo:
+            fmt.read(path)
+        message = str(excinfo.value)
+        prefix = "%s: line %d " % (path, numbers[j])
+        assert message.startswith(prefix), (case, kind, message)
+        assert re.search(pattern, message[len(prefix):]), (case, kind, message)
+    assert seen == set(fmt.faults)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("dataset", "not a dataset file"),
+    ("lexicon", "not a lexicon file (bad header)"),
+    ("rows", "missing or wrong annotation-row header"),
+])
+def test_a_required_header_must_be_line_1(tmp_path, name, message):
+    fmt = FORMATS[name]
+    header, lines, _ = fmt.valid(random.Random(name))
+    path = tmp_path / "file.tsv"
+    for text in ("", "\n", "\r\n".join(["", *header, *lines]), "\n".join(lines)):
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(FormatError) as excinfo:
+            fmt.read(path)
+        assert str(excinfo.value) == "%s: %s" % (path, message)
