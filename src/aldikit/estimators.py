@@ -226,27 +226,50 @@ def external_score(
     # The scorer's session no longer gets the terminal's or our group's
     # signals, so turn the ones that would end us silently into an exception.
     # An ignored or custom handler (nohup, an embedding program) is kept.
+    gate = _SignalGate()
     restore = {}
     for signum in (signal.SIGTERM, signal.SIGHUP):
         if signal.getsignal(signum) is signal.SIG_DFL:
             try:
-                restore[signum] = signal.signal(signum, _exit_on_signal)
+                restore[signum] = signal.signal(signum, gate)
             except ValueError:  # not the main thread, which alone gets signals
                 break
     try:
         batch = batch_size or len(sentences) or 1
-        return _score_batches(sentences, command, batch, timeout)
+        return _score_batches(sentences, command, batch, timeout, gate)
     finally:
         for signum, handler in restore.items():
             signal.signal(signum, handler)
 
 
-def _exit_on_signal(signum, frame):
-    raise SystemExit(128 + signum)
+class _SignalGate:
+    """The SIGTERM and SIGHUP handler while a scorer runs.
+
+    It raises ``SystemExit(128 + signum)``, except while a scorer starts:
+    its process group cannot be killed before ``Popen`` returns, so the
+    signal is only recorded, and ``started`` raises it once it can be.
+    """
+
+    starting = False
+    signum = 0
+
+    def __call__(self, signum, frame):
+        self.signum = signum
+        if not self.starting:
+            raise SystemExit(128 + signum)
+
+    def started(self):
+        self.starting = False
+        if self.signum:
+            raise SystemExit(128 + self.signum)
 
 
 def _score_batches(
-    sentences: Sequence[str], command: Sequence[str], batch: int, timeout: float | None
+    sentences: Sequence[str],
+    command: Sequence[str],
+    batch: int,
+    timeout: float | None,
+    gate: _SignalGate,
 ) -> list[float]:
     import signal
     import subprocess
@@ -255,6 +278,7 @@ def _score_batches(
     for start in range(0, len(sentences), batch):
         chunk = sentences[start : start + batch]
         payload = "".join(textnorm.normalize(s) + "\n" for s in chunk)
+        gate.starting = True  # until the try below can kill the scorer's group
         try:
             proc = subprocess.Popen(
                 list(command),
@@ -264,9 +288,11 @@ def _score_batches(
                 start_new_session=True,
             )
         except OSError as exc:
+            gate.started()
             raise ProtocolError("cannot run scorer %s: %s" % (command, exc))
         with proc:
             try:
+                gate.started()
                 stdout, stderr = proc.communicate(payload.encode("utf-8"), timeout)
             except BaseException as exc:  # a timeout, Ctrl-C, a signal, a bug
                 # the scorer leads its own session, so this also ends what it started

@@ -301,23 +301,20 @@ def _parse_hit_line(
 def parse_hit_file(
     path: str | Path,
     column_map: ColumnMapConfig,
-    strict: bool = True,
-    error_log: list[str] | None = None,
+    skipped: list[str] | None = None,
 ) -> Iterator[tuple[AnnotationRow, ...]]:
     """Yield the 12 rows of each well-formed line of a tab-separated HIT export.
 
-    In strict mode any malformed line raises FormatError (with its line
-    number); otherwise the line is skipped and the message appended to
-    ``error_log`` when given.
+    Without ``skipped`` any malformed line raises FormatError (with its line
+    number); with a list the line is skipped and its message appended.
     """
     for lineno, cells in numbered_cells(path):
         try:
             yield _parse_hit_line(cells, column_map, lineno)
         except FormatError as exc:
-            if strict:
+            if skipped is None:
                 raise
-            if error_log is not None:
-                error_log.append(str(exc))
+            skipped.append(str(exc))
 
 
 def _sanitize_text(text: str) -> str:

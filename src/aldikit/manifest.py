@@ -4,18 +4,21 @@ Every file aldikit writes goes through :func:`write_output`: UTF-8, the
 newlines its chunks hold, streamed, and lone surrogates from non-UTF-8
 paths written as ``\\udcXX`` escapes. The chunks go to a new file in the
 target's directory, which replaces the target only once the last chunk is
-written, so a run that fails part-way leaves the old output whole.
+written, so a run that fails part-way leaves the old output whole. A
+target that already holds exactly the new bytes is not replaced at all,
+manifests included: it keeps its inode, mtime and mode, since replacing a
+file that holds blocks costs far more than reading it.
 
 A manifest records the command line, sha256 digests of every input file,
 the seed when one was used, the tool version, and a timestamp. The
 timestamp honors SOURCE_DATE_EPOCH so reproducible runs produce
-byte-identical manifests, and a manifest file that already holds exactly
-those bytes is left alone, mtime and inode too. A single output ``<out>``
-gets its manifest beside it, as ``<out>.manifest.json``.
+byte-identical manifests. A single output ``<out>`` gets its manifest
+beside it, as ``<out>.manifest.json``.
 """
 
 from __future__ import annotations
 
+import filecmp
 import hashlib
 import json
 import os
@@ -47,10 +50,11 @@ def write_output(path: str | Path, chunks: Iterable[str]) -> None:
 
     The chunks go to a new file beside ``path``, created with the mode
     ``open`` gives a new file, or with the mode of the file it replaces,
-    and ``os.replace`` puts it in place once the stream ends. If the
-    stream raises, the new file is removed and ``path`` keeps its old
-    bytes. A symlink is followed, and a target that is not a regular file
-    (``/dev/null``, a pipe) is written in place.
+    and ``os.replace`` puts it in place once the stream ends. If ``path``
+    already holds exactly those bytes, or the stream raises, the new file
+    is removed and ``path`` keeps its old bytes. A symlink is followed,
+    and a target that is not a regular file (``/dev/null``, a pipe) is
+    written in place.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         with _text_file(path) as fh:
@@ -69,7 +73,14 @@ def write_output(path: str | Path, chunks: Iterable[str]) -> None:
             if os.path.isfile(target):
                 os.chmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
             fh.writelines(chunks)
-        os.replace(temp, target)
+        try:
+            unchanged = filecmp.cmp(temp, target, shallow=False)
+        except OSError:  # a missing or unreadable target is a difference
+            unchanged = False
+        if unchanged:
+            os.unlink(temp)
+        else:
+            os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
         raise
@@ -94,13 +105,7 @@ def write_manifest(
     seed: int | None = None,
     **extra,
 ) -> None:
-    """Write the manifest of one run to ``out_path``; ``extra`` adds keys.
-
-    When ``out_path`` already holds exactly these bytes, it is not written
-    again: replacing a file that holds blocks costs far more than reading
-    it. Reruns hit this only under SOURCE_DATE_EPOCH; without it
-    the timestamp moves and the file is rewritten.
-    """
+    """Write the manifest of one run to ``out_path``; ``extra`` adds keys."""
     manifest = {
         "command": command,
         "inputs": {str(p): file_digest(p) for p in inputs},
@@ -110,14 +115,6 @@ def write_manifest(
         **extra,
     }
     text = json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
-    data = text.encode("utf-8", "backslashreplace")
-    # one byte past the end tells a longer file from an equal one
-    try:
-        with open(out_path, "rb") as fh:
-            if fh.read(len(data) + 1) == data:
-                return
-    except OSError:
-        pass
     write_output(out_path, [text])
 
 

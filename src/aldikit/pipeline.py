@@ -39,12 +39,12 @@ def run_ingest(
         if column_map_path
         else ingest_mod.ColumnMapConfig.default()
     )
-    error_log: list[str] = []
+    skipped: list[str] = []
     per_source: Counter = Counter()
 
     def rows():
         for hit in ingest_mod.parse_hit_file(
-            hit_path, cmap, strict=strict, error_log=error_log
+            hit_path, cmap, None if strict else skipped
         ):
             per_source.update(row.source for row in hit)
             yield from hit
@@ -60,8 +60,8 @@ def run_ingest(
         "hits": hit_count,
         "rows": row_count,
         "rows_per_source": dict(sorted(per_source.items())),
-        "skipped_lines": len(error_log),
-        "errors": error_log,
+        "skipped_lines": len(skipped),
+        "errors": skipped,
         "output": str(out_path),
     }
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from aldikit import cli, ingest, pipeline
+from aldikit import cli, estimators, ingest, pipeline
 from aldikit import dataset as dataset_mod
 from aldikit.errors import FormatError
 from aldikit.evaluation import read_pairs_file
@@ -773,6 +773,36 @@ def test_a_signal_that_ends_aldikit_kills_what_the_scorer_started(tmp_path, sign
     assert child.returncode == 128 + signum
 
 
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP])
+def test_a_signal_while_the_scorer_starts_kills_its_group(monkeypatch, signum):
+    """A signal that arrives inside ``Popen``, once the scorer exists but
+    before ``Popen`` returns it, still ends the scorer's process group."""
+    real_popen = subprocess.Popen
+    started = []
+
+    def popen_then_signal(*args, **kwargs):
+        started.append(real_popen(*args, **kwargs))
+        os.kill(os.getpid(), signum)  # the handler runs before this returns
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", popen_then_signal)
+    old_handler = signal.signal(signum, signal.SIG_DFL)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            estimators.external_score(["x"], ["sleep", "60"])
+    finally:
+        signal.signal(signum, old_handler)
+    (proc,) = started
+    try:
+        assert exc.value.code == 128 + signum
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(proc.pid, 0)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
 @pytest.mark.parametrize("command", ["score", "contrastive"])
 @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf"])
 def test_scorer_timeout_must_be_finite_and_above_0(tmp_path, capsys, command, seconds):
@@ -1036,45 +1066,72 @@ def test_manifests_record_the_argv_main_parsed(chain_dir, monkeypatch):
 _OLD_NS = 10**18  # an mtime in 2001, long before any rerun
 
 
+_DATASET_FILES = [
+    "dataset.tsv", "discarded.tsv", "split_assignment.tsv", "stats.json", "stats.txt"
+]
+
+
+def _output_paths(argv):
+    """Every file a CHAIN command writes: its -o and --plot outputs, or
+    build-dataset's data files, and their manifests."""
+    if argv[0] == "build-dataset":
+        outputs = [Path(argv[argv.index("-o") + 1], name) for name in _DATASET_FILES]
+    else:
+        outputs = [
+            Path(value) for flag, value in zip(argv, argv[1:]) if flag in ("-o", "--plot")
+        ]
+    return outputs + _manifest_paths(argv)
+
+
 @pytest.mark.parametrize(
     "step",
-    [i for i, (argv, _) in enumerate(CHAIN) if _manifest_paths(argv)],
+    [i for i, (argv, _) in enumerate(CHAIN) if _output_paths(argv)],
     ids=lambda i: "%d-%s" % (i, CHAIN[i][0][0]),
 )
-def test_identical_manifest_is_left_untouched(chain_dir, monkeypatch, step):
+def test_identical_outputs_are_left_untouched(chain_dir, monkeypatch, step):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     for argv, _ in CHAIN[: step + 1]:
         assert run(argv) == 0, argv
     argv = CHAIN[step][0]
-    paths = _manifest_paths(argv)
+    paths = _output_paths(argv)
+    manifests = _manifest_paths(argv)
+
+    def assert_untouched(path, ino, data):
+        stat = path.stat()
+        assert (stat.st_mtime_ns, stat.st_ino, path.read_bytes()) == (
+            _OLD_NS, ino, data
+        ), path
+
     for path in paths:
         os.utime(path, ns=(_OLD_NS, _OLD_NS))
     first = {path: (path.stat().st_ino, path.read_bytes()) for path in paths}
     assert run(argv) == 0
     for path in paths:
-        stat = path.stat()
-        assert (stat.st_mtime_ns, stat.st_ino, path.read_bytes()) == (
-            _OLD_NS, *first[path]
-        )
+        assert_untouched(path, *first[path])
 
-    # a new timestamp rewrites every manifest with the new bytes
+    # a new timestamp rewrites every manifest with the new bytes, and only them
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "86400")
     assert run(argv) == 0
     expected = {}
     for path in paths:
-        _, old_bytes = first[path]
+        ino, old_bytes = first[path]
+        if path not in manifests:
+            assert_untouched(path, ino, old_bytes)
+            expected[path] = old_bytes
+            continue
         expected[path] = old_bytes.replace(
             b'"1970-01-01T00:00:00Z"', b'"1970-01-02T00:00:00Z"'
         )
         assert expected[path] != old_bytes
         assert path.read_bytes() == expected[path]
-        # the new bytes followed by junk are not a match
+    # the new bytes followed by junk are not a match
+    for path in paths:
         path.write_bytes(expected[path] + b"junk")
         os.utime(path, ns=(_OLD_NS, _OLD_NS))
     assert run(argv) == 0
     for path in paths:
-        assert path.read_bytes() == expected[path]
-        assert path.stat().st_mtime_ns != _OLD_NS
+        assert path.read_bytes() == expected[path], path
+        assert path.stat().st_mtime_ns != _OLD_NS, path
 
 
 @pytest.mark.parametrize("command", ["build-lexicon", "speech"])

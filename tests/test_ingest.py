@@ -61,7 +61,7 @@ def test_lenient_mode_skips_and_logs(tmp_path, default_cmap):
     path = tmp_path / "mixed.tsv"
     path.write_text(bad + "\n" + good + "\n", encoding="utf-8")
     log = []
-    hits = list(ingest.parse_hit_file(path, default_cmap, strict=False, error_log=log))
+    hits = list(ingest.parse_hit_file(path, default_cmap, skipped=log))
     assert len(hits) == 1
     assert len(log) == 1
     assert "line 1" in log[0]
@@ -76,7 +76,7 @@ def test_unknown_native_speaker_rejected_or_skipped(tmp_path, default_cmap):
     with pytest.raises(FormatError, match="line 1: unknown native_speaker value 'maybe'"):
         list(ingest.parse_hit_file(path, default_cmap))
     log = []
-    hits = list(ingest.parse_hit_file(path, default_cmap, strict=False, error_log=log))
+    hits = list(ingest.parse_hit_file(path, default_cmap, skipped=log))
     assert len(hits) == 1
     assert len(log) == 1 and "line 1" in log[0]
 
@@ -520,7 +520,7 @@ def test_parse_hit_file_fuzz(tmp_path, default_cmap):
         good.write_text("".join(line + "\n" for line in good_lines), encoding="utf-8")
 
         log: list[str] = []
-        lenient = list(ingest.parse_hit_file(path, default_cmap, strict=False, error_log=log))
+        lenient = list(ingest.parse_hit_file(path, default_cmap, skipped=log))
         assert lenient == list(ingest.parse_hit_file(good, default_cmap))
         assert len(log) == len(lines) - len(good_lines)
         if log:

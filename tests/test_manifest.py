@@ -46,18 +46,30 @@ def _old_bytes(rng, kind, new):
     return new[:at] + bytes([new[at] ^ rng.randint(1, 255)]) + new[at + 1:]
 
 
+_OLD_NS = 10**18  # an mtime in 2001, long before any write
+
+
 @pytest.mark.parametrize("kind", OLD_FILES)
 def test_write_output_leaves_exactly_the_new_bytes(tmp_path, kind):
+    """Any old file, a prefix or a longer one too, ends up holding the new
+    bytes; one that already holds them keeps its inode and mtime."""
     for seed in range(50):
         rng = random.Random("%s-%d" % (kind, seed))
         text = _text(rng)
         new = text.encode("utf-8")
         # a fresh file per seed: rewriting one file with blocks is slow
         path = tmp_path / ("out%d.txt" % seed)
-        if kind != "missing":
-            path.write_bytes(_old_bytes(rng, kind, new))
+        old = None if kind == "missing" else _old_bytes(rng, kind, new)
+        if old is not None:
+            path.write_bytes(old)
+            os.utime(path, ns=(_OLD_NS, _OLD_NS))
+            ino = path.stat().st_ino
         write_output(path, _cut(rng, text))
         assert path.read_bytes() == new, seed
+        if old == new:
+            assert (path.stat().st_ino, path.stat().st_mtime_ns) == (ino, _OLD_NS), seed
+        # only equal holds the new bytes, unless they are empty
+        assert (old == new) == (kind == "equal") or not new, seed
 
 
 @pytest.mark.parametrize("kind", OLD_FILES)
