@@ -60,7 +60,8 @@ def _flag_value(args, flag: str):
 
 def _estimators(args, kinds) -> list:
     """The estimators of ``kinds``, in table order; a flag that only another
-    kind reads is refused rather than ignored."""
+    kind reads is refused rather than ignored. ``args.flag_names`` maps a
+    table flag to the name a subcommand declares it under, if another."""
     from . import estimators
 
     built = []
@@ -73,7 +74,8 @@ def _estimators(args, kinds) -> list:
                         "%s applies only to the %s estimator" % (flag, kind)
                     )
         elif not values[0]:
-            raise FormatError("--estimator %s requires %s" % (kind, flags[0]))
+            flag = getattr(args, "flag_names", {}).get(flags[0], flags[0])
+            raise FormatError("the %s estimator requires %s" % (kind, flag))
         else:
             built.append(factory(estimators, values[0], args))
     return built
@@ -419,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scorer_flags(p)
     p.add_argument("-o", "--output")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_contrastive)
+    p.set_defaults(func=_cmd_contrastive, flag_names={"--labels": "--di-labels"})
 
     p = sub.add_parser("speech", help="segment a saved HTML transcript and score it")
     p.add_argument("html_file")

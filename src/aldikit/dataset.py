@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -312,30 +313,30 @@ def corpus_stats(
     discarded: Sequence[CommentGroup] = (),
 ) -> dict:
     """Annotation- and group-level statistics of the built dataset."""
-    by_kind_level: dict[str, Counter] = {"comment": Counter(), "control": Counter()}
-    dialect_level: dict[str, Counter] = {}
     everything = list(groups) + list(discarded)
-    for group in everything:
-        by_kind_level[group.kind].update(group.levels)
-        for level, dialect in zip(group.levels, group.dialects):
-            if dialect:
-                dialect_level.setdefault(dialect, Counter())[level] += 1
+    kind_level = Counter(
+        chain.from_iterable(zip(repeat(g.kind), g.levels) for g in everything)
+    )
+    dialect_level = Counter(
+        chain.from_iterable(zip(g.dialects, g.levels) for g in everything)
+    )
 
     annotations: dict = {}
-    for kind, counter in (
-        ("comment", by_kind_level["comment"]),
-        ("control", by_kind_level["control"]),
-        ("all", by_kind_level["comment"] + by_kind_level["control"]),
+    for name, kinds in (
+        ("comment", ("comment",)),
+        ("control", ("control",)),
+        ("all", ("comment", "control")),
     ):
-        total = sum(counter.values())
-        annotations[kind] = {
+        counts = [sum(kind_level[kind, level] for kind in kinds) for level in LEVELS]
+        total = sum(counts)
+        annotations[name] = {
             "total": total,
             "levels": {
                 level: {
-                    "count": counter.get(level, 0),
-                    "percent": (100.0 * counter.get(level, 0) / total) if total else 0.0,
+                    "count": count,
+                    "percent": (100.0 * count / total) if total else 0.0,
                 }
-                for level in LEVELS
+                for level, count in zip(LEVELS, counts)
             },
         }
 
@@ -360,8 +361,8 @@ def corpus_stats(
     stats = {
         "annotations": annotations,
         "dialect_level": {
-            dialect: {level: counter.get(level, 0) for level in LEVELS}
-            for dialect, counter in sorted(dialect_level.items())
+            dialect: {level: dialect_level[dialect, level] for level in LEVELS}
+            for dialect in sorted({dialect for dialect, _ in dialect_level if dialect})
         },
         "aldi_histogram": {"bins": list(ALDI_BINS), "counts": histogram},
         "groups": {

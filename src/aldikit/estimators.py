@@ -215,7 +215,8 @@ def external_score(
     protocol failure. Each process runs in a session of its own, and a
     timeout or any other exception kills that whole process group. While
     a scorer runs, SIGTERM and SIGHUP (where they still have their default
-    action) raise ``SystemExit(128 + signum)``, so they end the group too.
+    action) raise ``SystemExit(128 + signum)``, and SIGINT (where Python's
+    own handler has it) ``KeyboardInterrupt``, so they end the group too.
     """
     import signal
 
@@ -228,8 +229,12 @@ def external_score(
     # An ignored or custom handler (nohup, an embedding program) is kept.
     gate = _SignalGate()
     restore = {}
-    for signum in (signal.SIGTERM, signal.SIGHUP):
-        if signal.getsignal(signum) is signal.SIG_DFL:
+    for signum, default in (
+        (signal.SIGTERM, signal.SIG_DFL),
+        (signal.SIGHUP, signal.SIG_DFL),
+        (signal.SIGINT, signal.default_int_handler),
+    ):
+        if signal.getsignal(signum) is default:
             try:
                 restore[signum] = signal.signal(signum, gate)
             except ValueError:  # not the main thread, which alone gets signals
@@ -243,11 +248,13 @@ def external_score(
 
 
 class _SignalGate:
-    """The SIGTERM and SIGHUP handler while a scorer runs.
+    """The SIGTERM, SIGHUP and SIGINT handler while a scorer runs.
 
-    It raises ``SystemExit(128 + signum)``, except while a scorer starts:
-    its process group cannot be killed before ``Popen`` returns, so the
-    signal is only recorded, and ``started`` raises it once it can be.
+    It raises ``KeyboardInterrupt`` for SIGINT, as Python's own handler
+    does, and ``SystemExit(128 + signum)`` for the others, except while a
+    scorer starts: its process group cannot be killed before ``Popen``
+    returns, so the signal is only recorded, and ``started`` raises it once
+    it can be.
     """
 
     starting = False
@@ -256,12 +263,19 @@ class _SignalGate:
     def __call__(self, signum, frame):
         self.signum = signum
         if not self.starting:
-            raise SystemExit(128 + signum)
+            self._raise()
 
     def started(self):
         self.starting = False
         if self.signum:
-            raise SystemExit(128 + self.signum)
+            self._raise()
+
+    def _raise(self):
+        import signal
+
+        if self.signum == signal.SIGINT:
+            raise KeyboardInterrupt
+        raise SystemExit(128 + self.signum)
 
 
 def _score_batches(

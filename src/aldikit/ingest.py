@@ -393,3 +393,26 @@ def read_rows(path: str | Path) -> Iterator[AnnotationRow]:
                 "%s: line %d has unknown %s %r" % (path, lineno, what, cell)
             ) from None
         yield row
+
+
+def count_raw_keys(path: str | Path) -> tuple[int, int]:
+    """``(distinct (source, article_id, sentence_text) keys, data lines)`` of a
+    rows file that :func:`read_rows` has read.
+
+    A key is its line without the seven middle cells. The file is read as
+    latin-1, one character per byte: text mode ends lines where the UTF-8
+    read did, and each key encodes back to the line's own bytes, which a set
+    holds in less memory than the str. Blank lines are skipped as there, and
+    line 1 is the header.
+    """
+    keys: set[bytes] = set()
+    lines = 0
+    with open(path, encoding="latin-1") as fh:
+        next(fh, None)
+        for line in fh:
+            if line := line.rstrip("\n"):
+                lines += 1
+                second_tab = line.find("\t", line.find("\t") + 1)
+                key = line[:second_tab] + line[line.rfind("\t") :]
+                keys.add(key.encode("latin-1"))
+    return len(keys), lines

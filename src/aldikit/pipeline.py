@@ -5,6 +5,11 @@ library, write every output file (plus a manifest) through
 ``manifest.write_output``, and return a summary dict suitable for --json
 printing. Rows and dataset lines are streamed into their files.
 
+``build-dataset`` reads the rows file twice: it counts the distinct raw keys
+of ``stats.json`` on a second read, once the groups are freed, so that it
+never holds both. On rows whose texts all differ, that set of keys is as
+large as the groups.
+
 Import rule: at module level this file imports only the standard library
 and ``errors``, because ``evaluate`` and ``dprime`` need only the two file
 readers at the end of it. Each run_* function imports the aldikit modules
@@ -73,27 +78,22 @@ def run_build_dataset(
     assignment_path: str | Path | None = None,
     command: Sequence[str] | None = None,
 ) -> dict:
+    """Build ``out_dir`` from a rows file, which is read twice: once into the
+    groups, and once more, after the data files are written and the groups
+    freed, to count the raw keys. A rows file whose data lines differ in
+    number between the two reads is refused, after the data files are
+    written but before the stats and the manifest are."""
     from . import dataset as dataset_mod
     from . import ingest as ingest_mod
     from .manifest import write_manifest, write_output
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    raw_keys: set[tuple[str, str, str]] = set()
-
-    def rows():
-        for row in ingest_mod.read_rows(rows_path):
-            raw_keys.add((row.source, row.article_id, row.sentence_text))
-            yield row
-
-    groups = dataset_mod.group_comments(rows())
+    groups = dataset_mod.group_comments(ingest_mod.read_rows(rows_path))
     if not groups:
         raise FormatError("%s contains no annotation rows" % rows_path)
-    distinct_keys = {
-        "normalized": dataset_mod.count_distinct_keys(groups),
-        "raw": len(raw_keys),
-    }
-    del raw_keys  # freed before the later stages allocate
+    annotations = sum(len(group.levels) for group in groups)
+    normalized_keys = dataset_mod.count_distinct_keys(groups)
 
     kept, discarded = dataset_mod.discard_junk(groups)
     for group in kept:
@@ -107,13 +107,18 @@ def run_build_dataset(
     dataset_mod.make_splits(kept, seed, assignment)
 
     stats = dataset_mod.corpus_stats(kept, discarded)
-    stats["distinct_keys"] = distinct_keys
     stats["key_mode"] = "normalized"  # a dataset-v1 field: stats.json keeps its bytes
     stats["seed"] = seed
 
     write_output(out_dir / "dataset.tsv", dataset_mod.dataset_lines(kept))
     write_output(out_dir / "discarded.tsv", dataset_mod.discarded_lines(discarded))
     write_output(out_dir / "split_assignment.tsv", dataset_mod.assignment_lines(kept))
+    del groups, kept, discarded  # before the raw keys take their own memory
+    raw_keys, lines = ingest_mod.count_raw_keys(rows_path)
+    if lines != annotations:
+        raise FormatError("%s changed while it was read" % rows_path)
+    stats["distinct_keys"] = {"normalized": normalized_keys, "raw": raw_keys}
+
     stats_json = json.dumps(stats, ensure_ascii=False, sort_keys=True, indent=2)
     write_output(out_dir / "stats.json", [stats_json + "\n"])
     write_output(out_dir / "stats.txt", [dataset_mod.render_stats_text(stats)])
@@ -126,8 +131,8 @@ def run_build_dataset(
     )
     return {
         "groups": stats["groups"],
-        "kept": len(kept),
-        "discarded": len(discarded),
+        "kept": stats["groups"]["kept"],
+        "discarded": stats["groups"]["discarded"],
         "output_dir": str(out_dir),
     }
 

@@ -745,7 +745,7 @@ def _assert_exits_soon(pid):
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP])
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP, signal.SIGINT])
 def test_a_signal_that_ends_aldikit_kills_what_the_scorer_started(tmp_path, signum):
     sentences = tmp_path / "s.txt"
     sentences.write_text("جملة\n", encoding="utf-8")
@@ -770,10 +770,11 @@ def test_a_signal_that_ends_aldikit_kills_what_the_scorer_started(tmp_path, sign
         if child.poll() is None:
             child.kill()
             child.wait()
-    assert child.returncode == 128 + signum
+    # after an uncaught KeyboardInterrupt, Python ends itself by SIGINT
+    assert child.returncode == (-signum if signum == signal.SIGINT else 128 + signum)
 
 
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP])
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP, signal.SIGINT])
 def test_a_signal_while_the_scorer_starts_kills_its_group(monkeypatch, signum):
     """A signal that arrives inside ``Popen``, once the scorer exists but
     before ``Popen`` returns it, still ends the scorer's process group."""
@@ -786,15 +787,21 @@ def test_a_signal_while_the_scorer_starts_kills_its_group(monkeypatch, signum):
         return started[-1]
 
     monkeypatch.setattr(subprocess, "Popen", popen_then_signal)
-    old_handler = signal.signal(signum, signal.SIG_DFL)
+    interrupt = signum == signal.SIGINT
+    old_handler = signal.signal(
+        signum, signal.default_int_handler if interrupt else signal.SIG_DFL
+    )
     try:
-        with pytest.raises(SystemExit) as exc:
+        with pytest.raises((SystemExit, KeyboardInterrupt)) as exc:
             estimators.external_score(["x"], ["sleep", "60"])
     finally:
         signal.signal(signum, old_handler)
     (proc,) = started
     try:
-        assert exc.value.code == 128 + signum
+        if interrupt:
+            assert exc.type is KeyboardInterrupt
+        else:
+            assert exc.value.code == 128 + signum
         with pytest.raises(ProcessLookupError):  # killed and reaped
             os.kill(proc.pid, 0)
     finally:
@@ -866,6 +873,25 @@ def test_a_flag_the_run_would_not_read_exits_2(
         code = exc.code
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["contrastive", _PAIRS_FILE, "--di-labels", ""], "--di-labels"),
+        ([*_SCORE, "binary-di", "--labels", ""], "--labels"),
+    ],
+    ids=["contrastive", "score"],
+)
+def test_an_empty_estimator_input_names_the_flag_the_command_declares(
+    tmp_path, monkeypatch, capsys, argv, flag
+):
+    monkeypatch.chdir(tmp_path)
+    Path("S").write_text("جملة\n", encoding="utf-8")
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: the binary-di estimator requires %s\n" % flag
+    )
 
 
 def test_score_json_and_stdout(tmp_path, capsys):

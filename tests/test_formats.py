@@ -7,13 +7,14 @@ valid file must parse to the oracle's value, and a broken one must raise
 FormatError naming the path and the broken line's number in the file.
 """
 
+import json
 import random
 import re
 from typing import Callable, NamedTuple
 
 import pytest
 
-from aldikit import dataset, estimators, evaluation, ingest, pipeline
+from aldikit import dataset, estimators, evaluation, ingest, pipeline, textnorm
 from aldikit.errors import FormatError
 
 # Cell text: no tab and no line end, but characters that str.splitlines
@@ -373,3 +374,75 @@ def test_a_required_header_must_be_line_1(tmp_path, name, message):
         with pytest.raises(FormatError) as excinfo:
             fmt.read(path)
         assert str(excinfo.value) == "%s: %s" % (path, message)
+
+
+# --- build-dataset's distinct keys ---------------------------------------------
+
+# Tashkeel (fatha, shadda) and tatweel: a text with them added normalizes to
+# the same text, so its rows join the same group under another raw key.
+_MARKS = ("\u064e", "\u0651", "\u0640")
+_ROWS_HEADER = "\t".join(ingest.ROWS_HEADER)
+
+
+def _variant(rng, text):
+    chars = list(text)
+    for _ in range(rng.randrange(1, 4)):
+        chars.insert(rng.randrange(len(chars) + 1), rng.choice(_MARKS))
+    edge = rng.choice(["", " ", "  "])  # edge spaces are trimmed too
+    return rng.choice([edge + "".join(chars), "".join(chars) + edge])
+
+
+def _buildable_rows(rng):
+    """Data lines of a rows file that builds, and each line's raw key: every
+    text is annotated under two sources and three articles in each, the
+    fewest articles a source can be split with."""
+    texts = [_text(rng, 1) for _ in range(rng.randrange(1, 5))]
+    rows = []
+    for source in rng.sample(ingest.SOURCES, 2):
+        for article in ("a1", "a2", "a3"):
+            for text in texts:
+                for worker in range(rng.randrange(1, 4)):
+                    raw = text if rng.random() < 0.5 else _variant(rng, text)
+                    level = rng.choice(("MSA", "Little", "Mixed", "Most"))
+                    line = "\t".join([source, article, "comment", level, "",
+                                      "w%d" % worker, "", "", "", raw])
+                    rows.append((line, (source, article, raw)))
+    rng.shuffle(rows)
+    return [line for line, _ in rows], [key for _, key in rows]
+
+
+def test_distinct_keys_count_raw_and_normalized_keys_with_lf_or_crlf(tmp_path):
+    rng = random.Random("distinct-keys")
+    shared = 0
+    for case in range(40):
+        lines, keys = _buildable_rows(rng)
+        layout = rng.random()
+        expected = {
+            "raw": len(set(keys)),
+            "normalized": len({(s, a, textnorm.normalize(t)) for s, a, t in keys}),
+        }
+        shared += expected["raw"] > expected["normalized"]
+        for end in ("\n", "\r\n"):
+            path = tmp_path / "rows.tsv"
+            _write(path, random.Random(layout), [_ROWS_HEADER], lines, end)
+            pipeline.run_build_dataset(path, tmp_path / "out", 0)
+            stats = json.loads((tmp_path / "out" / "stats.json").read_text("utf-8"))
+            assert stats["distinct_keys"] == expected, (case, end)
+    assert shared > 20
+
+
+def test_rows_that_change_between_the_two_reads_are_refused(tmp_path, monkeypatch):
+    lines, _ = _buildable_rows(random.Random("changed"))
+    path = tmp_path / "rows.tsv"
+    path.write_text("\n".join([_ROWS_HEADER, *lines, ""]), encoding="utf-8")
+    make_splits = dataset.make_splits
+
+    def make_splits_then_add_a_row(*args):
+        make_splits(*args)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(lines[0] + "\n")
+
+    monkeypatch.setattr(dataset, "make_splits", make_splits_then_add_a_row)
+    with pytest.raises(FormatError) as excinfo:
+        pipeline.run_build_dataset(path, tmp_path / "out", 0)
+    assert str(excinfo.value) == "%s changed while it was read" % path
