@@ -76,7 +76,7 @@ def build_lexicon(
     Raises FormatError when no token is kept: an empty lexicon would score
     every sentence as fully dialectal."""
     if min_occurrences < 1:
-        raise FormatError("min_occurrences must be >= 1")
+        raise FormatError("min count must be at least 1, got %d" % min_occurrences)
     # tokenize(text) is the concatenation of tokenize(word) over text.split(),
     # so count words first and tokenize each distinct word once
     words: Counter = Counter()

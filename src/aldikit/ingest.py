@@ -397,13 +397,14 @@ def read_rows(path: str | Path) -> Iterator[AnnotationRow]:
 
 def count_raw_keys(path: str | Path) -> tuple[int, int]:
     """``(distinct (source, article_id, sentence_text) keys, data lines)`` of a
-    rows file that :func:`read_rows` has read.
+    rows file, counted as :func:`read_rows` will read it.
 
-    A key is its line without the seven middle cells. The file is read as
-    latin-1, one character per byte: text mode ends lines where the UTF-8
-    read did, and each key encodes back to the line's own bytes, which a set
-    holds in less memory than the str. Blank lines are skipped as there, and
-    line 1 is the header.
+    Nothing is checked here: any bytes count, and :func:`read_rows`, run
+    next, refuses a malformed file. A key is its line without the seven
+    middle cells. The file is read as latin-1, one character per byte: text
+    mode ends lines where the UTF-8 read does, and each key encodes back to
+    the line's own bytes, which a set holds in less memory than the str.
+    Blank lines are skipped as there, and line 1 is the header.
     """
     keys: set[bytes] = set()
     lines = 0

@@ -5,10 +5,10 @@ library, write every output file (plus a manifest) through
 ``manifest.write_output``, and return a summary dict suitable for --json
 printing. Rows and dataset lines are streamed into their files.
 
-``build-dataset`` reads the rows file twice: it counts the distinct raw keys
-of ``stats.json`` on a second read, once the groups are freed, so that it
-never holds both. On rows whose texts all differ, that set of keys is as
-large as the groups.
+``build-dataset`` reads the rows file twice: a first read counts the
+distinct raw keys of ``stats.json`` and frees them before a second read
+builds the groups, so that it never holds both. On rows whose texts all
+differ, that set of keys is as large as the groups.
 
 Import rule: at module level this file imports only the standard library
 and ``errors``, because ``evaluate`` and ``dprime`` need only the two file
@@ -78,21 +78,21 @@ def run_build_dataset(
     assignment_path: str | Path | None = None,
     command: Sequence[str] | None = None,
 ) -> dict:
-    """Build ``out_dir`` from a rows file, which is read twice: once into the
-    groups, and once more, after the data files are written and the groups
-    freed, to count the raw keys. A rows file whose data lines differ in
-    number between the two reads is refused, after the data files are
-    written but before the stats and the manifest are."""
+    """Build ``out_dir`` from a rows file, which is read twice: once to count
+    the raw keys, and once into the groups. A rows file whose data lines
+    differ in number between the two reads is refused."""
     from . import dataset as dataset_mod
     from . import ingest as ingest_mod
     from .manifest import write_manifest, write_output
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    raw_keys, lines = ingest_mod.count_raw_keys(rows_path)
     groups = dataset_mod.group_comments(ingest_mod.read_rows(rows_path))
     if not groups:
         raise FormatError("%s contains no annotation rows" % rows_path)
-    annotations = sum(len(group.levels) for group in groups)
+    if sum(len(group.levels) for group in groups) != lines:
+        raise FormatError("%s changed while it was read" % rows_path)
     normalized_keys = dataset_mod.count_distinct_keys(groups)
 
     kept, discarded = dataset_mod.discard_junk(groups)
@@ -109,15 +109,11 @@ def run_build_dataset(
     stats = dataset_mod.corpus_stats(kept, discarded)
     stats["key_mode"] = "normalized"  # a dataset-v1 field: stats.json keeps its bytes
     stats["seed"] = seed
+    stats["distinct_keys"] = {"normalized": normalized_keys, "raw": raw_keys}
 
     write_output(out_dir / "dataset.tsv", dataset_mod.dataset_lines(kept))
     write_output(out_dir / "discarded.tsv", dataset_mod.discarded_lines(discarded))
     write_output(out_dir / "split_assignment.tsv", dataset_mod.assignment_lines(kept))
-    del groups, kept, discarded  # before the raw keys take their own memory
-    raw_keys, lines = ingest_mod.count_raw_keys(rows_path)
-    if lines != annotations:
-        raise FormatError("%s changed while it was read" % rows_path)
-    stats["distinct_keys"] = {"normalized": normalized_keys, "raw": raw_keys}
 
     stats_json = json.dumps(stats, ensure_ascii=False, sort_keys=True, indent=2)
     write_output(out_dir / "stats.json", [stats_json + "\n"])

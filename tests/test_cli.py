@@ -355,6 +355,18 @@ def test_empty_lexicon_exits_2_and_is_not_scored(tmp_path, monkeypatch, capsys):
     assert "lex.txt: lexicon holds no tokens" in captured.err
 
 
+@pytest.mark.parametrize("min_count", ["0", "-3"])
+def test_build_lexicon_rejects_min_count_below_1(tmp_path, monkeypatch, capsys, min_count):
+    monkeypatch.chdir(tmp_path)
+    Path("corpus.txt").write_text("كلمة أولى كلمة\n", encoding="utf-8")
+    argv = ["build-lexicon", "corpus.txt", "--min-count", min_count, "-o", "lex.txt"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: min count must be at least 1, got %s\n" % min_count
+    )
+    assert sorted(os.listdir()) == ["corpus.txt"]
+
+
 def test_closed_stdout_exits_1(tmp_path):
     sentences = tmp_path / "sent.txt"
     sentences.write_text("كلمة مجهولة\n", encoding="utf-8")

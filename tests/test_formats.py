@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from aldikit import dataset, estimators, evaluation, ingest, pipeline, textnorm
+from aldikit import cli, dataset, estimators, evaluation, ingest, pipeline, textnorm
 from aldikit.errors import FormatError
 
 # Cell text: no tab and no line end, but characters that str.splitlines
@@ -44,6 +44,8 @@ class Format(NamedTuple):
     # kind -> fault(rng, data lines) -> (index of the line to replace, new line,
     # regex the message must match after "<path>: line <n> ")
     faults: dict
+    # more readers that must refuse a faulty file with read's message
+    also: tuple = ()
 
 
 # --- dataset.tsv ------------------------------------------------------------
@@ -301,10 +303,21 @@ def _rows_unknown_label(rng, lines):
     return j, "\t".join(cells), "has unknown %s %s$" % (what, re.escape(repr(cells[i])))
 
 
+def _build_nothing(path):
+    """build-dataset as a rows reader: its raw-key count reads the file
+    unchecked first, and a refused build writes no file."""
+    out = path.parent / "out"
+    try:
+        pipeline.run_build_dataset(path, out, 0)
+    finally:
+        assert list(out.iterdir()) == []
+
+
 ROWS = Format(
     _rows_valid,
     lambda path: list(ingest.read_rows(path)),
     {"width": _rows_width, "unknown-label": _rows_unknown_label},
+    (_build_nothing,),
 )
 
 
@@ -351,12 +364,13 @@ def test_one_fault_names_the_path_and_its_file_line(tmp_path, name):
         j, lines[j], pattern = fmt.faults[kind](rng, lines)
         path = tmp_path / ("%s%d.tsv" % (name, case))
         numbers = _write(path, rng, header, lines, rng.choice(["\n", "\r\n"]))
-        with pytest.raises(FormatError) as excinfo:
-            fmt.read(path)
-        message = str(excinfo.value)
-        prefix = "%s: line %d " % (path, numbers[j])
-        assert message.startswith(prefix), (case, kind, message)
-        assert re.search(pattern, message[len(prefix):]), (case, kind, message)
+        for read in (fmt.read, *fmt.also):
+            with pytest.raises(FormatError) as excinfo:
+                read(path)
+            message = str(excinfo.value)
+            prefix = "%s: line %d " % (path, numbers[j])
+            assert message.startswith(prefix), (case, kind, message)
+            assert re.search(pattern, message[len(prefix):]), (case, kind, message)
     assert seen == set(fmt.faults)
 
 
@@ -371,9 +385,10 @@ def test_a_required_header_must_be_line_1(tmp_path, name, message):
     path = tmp_path / "file.tsv"
     for text in ("", "\n", "\r\n".join(["", *header, *lines]), "\n".join(lines)):
         path.write_text(text, encoding="utf-8", newline="")
-        with pytest.raises(FormatError) as excinfo:
-            fmt.read(path)
-        assert str(excinfo.value) == "%s: %s" % (path, message)
+        for read in (fmt.read, *fmt.also):
+            with pytest.raises(FormatError) as excinfo:
+                read(path)
+            assert str(excinfo.value) == "%s: %s" % (path, message)
 
 
 # --- build-dataset's distinct keys ---------------------------------------------
@@ -431,18 +446,34 @@ def test_distinct_keys_count_raw_and_normalized_keys_with_lf_or_crlf(tmp_path):
     assert shared > 20
 
 
-def test_rows_that_change_between_the_two_reads_are_refused(tmp_path, monkeypatch):
+def _files(directory):
+    return {
+        f.name: (f.read_bytes(), f.stat().st_ino, f.stat().st_mtime_ns)
+        for f in directory.iterdir()
+    }
+
+
+def test_rows_that_change_between_the_two_reads_are_refused(
+    tmp_path, monkeypatch, capsys
+):
     lines, _ = _buildable_rows(random.Random("changed"))
     path = tmp_path / "rows.tsv"
     path.write_text("\n".join([_ROWS_HEADER, *lines, ""]), encoding="utf-8")
-    make_splits = dataset.make_splits
+    out = tmp_path / "out"
+    argv = ["build-dataset", str(path), "-o", str(out), "--seed"]
+    assert cli.main(argv + ["1"]) == 0
+    earlier = _files(out)
+    assert len(earlier) == 6
+    count_raw_keys = ingest.count_raw_keys
 
-    def make_splits_then_add_a_row(*args):
-        make_splits(*args)
-        with open(path, "a", encoding="utf-8") as fh:
+    def count_then_add_a_row(rows_path):
+        counted = count_raw_keys(rows_path)
+        with open(rows_path, "a", encoding="utf-8") as fh:
             fh.write(lines[0] + "\n")
+        return counted
 
-    monkeypatch.setattr(dataset, "make_splits", make_splits_then_add_a_row)
-    with pytest.raises(FormatError) as excinfo:
-        pipeline.run_build_dataset(path, tmp_path / "out", 0)
-    assert str(excinfo.value) == "%s changed while it was read" % path
+    monkeypatch.setattr(ingest, "count_raw_keys", count_then_add_a_row)
+    capsys.readouterr()
+    assert cli.main(argv + ["0"]) == 2
+    assert capsys.readouterr().err == "error: %s changed while it was read\n" % path
+    assert _files(out) == earlier
