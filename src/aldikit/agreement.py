@@ -118,21 +118,26 @@ def krippendorff_alpha_interval(items: Sequence[Sequence[float]]) -> float:
     return 1.0 - d_observed / d_expected
 
 
+# each ordinal level's numeric value, one float object that every item shares
+_LEVEL_VALUES = {level: thirds / 3 for level, thirds in LEVEL_THIRDS.items()}
+
+
 def level_agreement_items(
     groups: Sequence[CommentGroup],
-) -> tuple[list[list[str]], list[list[float]]]:
+) -> tuple[list[tuple[str, ...]], list[tuple[float, ...]]]:
     """Agreement inputs from grouped comments.
 
     Selects groups carrying exactly 3 annotations, all on the ordinal scale
     (no NotArabic/Missing), which is the subset both statistics are quoted
-    on. Returns (categorical label triples, numeric value triples).
+    on. Returns (categorical label triples, numeric value triples); a label
+    triple is the group's own ``levels`` tuple.
     """
-    labels: list[list[str]] = []
-    values: list[list[float]] = []
+    labels: list[tuple[str, ...]] = []
+    values: list[tuple[float, ...]] = []
     for group in groups:
         levels = group.levels
         if len(levels) != 3 or any(lv not in LEVEL_THIRDS for lv in levels):
             continue
         labels.append(levels)
-        values.append([LEVEL_THIRDS[lv] / 3 for lv in levels])
+        values.append(tuple([_LEVEL_VALUES[lv] for lv in levels]))
     return labels, values

@@ -167,13 +167,14 @@ def _cmd_agreement(args):
 
 def _cmd_build_lexicon(args):
     from . import estimators as est_mod
-    from .manifest import write_sidecar
+    from .manifest import timestamp, write_sidecar
 
+    stamp = timestamp()
     with open(args.corpus, encoding="utf-8") as fh:
         lexicon, counts = est_mod.build_lexicon(fh, min_occurrences=args.min_count)
     est_mod.save_lexicon(lexicon, args.output)
     write_sidecar(
-        args.output, args.argv, [args.corpus],
+        args.output, args.argv, [args.corpus], stamp,
         tokens=len(lexicon), min_count=args.min_count,
     )
     payload = {
@@ -189,7 +190,7 @@ def _cmd_build_lexicon(args):
 
 def _cmd_score(args):
     from . import estimators as est_mod
-    from .manifest import write_output, write_sidecar
+    from .manifest import timestamp, write_output, write_sidecar
     from .pipeline import read_dataset_file
 
     (estimator,) = _estimators(args, [args.estimator])
@@ -213,9 +214,10 @@ def _cmd_score(args):
     table = "".join("%d\t%s\n" % (i, fmt(s)) for i, s in enumerate(scores, start=1))
     if not args.output:
         return None, table
+    stamp = timestamp()
     write_output(args.output, [table])
     write_sidecar(
-        args.output, args.argv, [source_path],
+        args.output, args.argv, [source_path], stamp,
         estimator=estimator.estimator_id, scores=len(scores),
     )
     return None, "scored %d sentences -> %s\n" % (len(scores), args.output)
@@ -282,7 +284,7 @@ def _cmd_dprime(args):
 def _cmd_contrastive(args):
     from . import evaluation as eval_mod
     from .estimators import format_score
-    from .manifest import write_output, write_sidecar
+    from .manifest import timestamp, write_output, write_sidecar
 
     kinds = [k for k, (f, _) in _ESTIMATORS.items() if _flag_value(args, f[0]) is not None]
     estimators = _estimators(args, kinds)
@@ -308,8 +310,9 @@ def _cmd_contrastive(args):
     }
     if not args.output:
         return payload, table
+    stamp = timestamp()
     write_output(args.output, [table])
-    write_sidecar(args.output, args.argv, [args.pairs_file], rows=len(rows))
+    write_sidecar(args.output, args.argv, [args.pairs_file], stamp, rows=len(rows))
     return payload, "wrote %d matrix rows -> %s\n" % (len(rows), args.output)
 
 
@@ -318,7 +321,7 @@ def _cmd_speech(args):
 
     from . import speech as speech_mod
     from .estimators import format_score, read_label_file
-    from .manifest import write_sidecar
+    from .manifest import timestamp, write_sidecar
     from .svgplot import emit_plot
 
     (estimator,) = _estimators(args, [args.estimator])
@@ -326,16 +329,15 @@ def _cmd_speech(args):
     di_labels = read_label_file(args.di_labels) if args.di_labels else None
     document_id = Path(args.html_file).stem
     series = speech_mod.score_series(document_id, sentences, estimator, di_labels)
-    outputs = []
+    outputs = [out for out in (args.output, args.plot) if out]
+    stamp = timestamp() if outputs else None
     if args.output:
         speech_mod.write_series_csv(series, args.output, format_score)
-        outputs.append(args.output)
     if args.plot:
         emit_plot(series, args.plot)
-        outputs.append(args.plot)
     for out in outputs:
         write_sidecar(
-            out, args.argv, [args.html_file],
+            out, args.argv, [args.html_file], stamp,
             segments=len(series.points), mode=args.mode,
         )
     payload = {

@@ -12,11 +12,11 @@ Pipeline stages, in order:
    count, per source, seeded shuffle) or replay a released assignment file.
 
 Annotation rows are consumed as a stream: a :class:`CommentGroup` keeps only
-the level and dialect label of each of its annotations, and every later stage
-reads the groups. A score is exact: the pair (k, n) of a level sum in
-thirds and a label count stands for k / 3n, and it serializes at 6 decimal
-places (round half even). Output files list groups sorted by source,
-article and canonical text; a group's labels keep their input order.
+the level and dialect label of each of its annotations, as two tuples, and
+every later stage reads the groups. A score is exact: the pair (k, n) of a
+level sum in thirds and a label count stands for k / 3n, and it serializes
+at 6 decimal places (round half even). Output files list groups sorted by
+source, article and canonical text; a group's labels keep their input order.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ class CommentGroup:
     """One comment and its annotations: the table every stage after grouping reads.
 
     ``levels[i]`` and ``dialects[i]`` are the labels of the group's i-th
-    annotation, in input order (``""`` for no dialect). The later stages fill
-    in ``aldi`` and ``split`` (kept groups) or ``category`` (discarded ones);
-    ``aldi`` is the :func:`aggregate` pair ``(k, n)``.
+    annotation, in input order (``""`` for no dialect); both are tuples. The
+    later stages fill in ``aldi`` and ``split`` (kept groups) or ``category``
+    (discarded ones); ``aldi`` is the :func:`aggregate` pair ``(k, n)``.
     """
 
     __slots__ = (
@@ -87,8 +87,8 @@ class CommentGroup:
         canonical_text: str,
         raw_text: str,
         kind: str,
-        levels: list[str],
-        dialects: list[str],
+        levels: tuple[str, ...],
+        dialects: tuple[str, ...],
         aldi: tuple[int, int] | None = None,
         split: str | None = None,
         category: str | None = None,
@@ -124,6 +124,9 @@ def group_comments(rows: Iterable[AnnotationRow]) -> list[CommentGroup]:
     Returned groups are ordered by first appearance. A group's
     ``canonical_text`` is its key's normalized text, ``raw_text`` the text of
     its first row, and its kind is "comment" once any of its rows is a comment.
+    Labels grow as tuples, which hold a group's few labels in less memory
+    than lists; lists turned into tuples afterwards would all be held at
+    the grouping peak.
     """
     groups: dict[tuple[str, str, str], CommentGroup] = {}
     for row in rows:
@@ -132,12 +135,12 @@ def group_comments(rows: Iterable[AnnotationRow]) -> list[CommentGroup]:
         group = groups.get(key)
         if group is None:
             group = groups[key] = CommentGroup(
-                row.source, row.article_id, key[2], text, row.kind, [], []
+                row.source, row.article_id, key[2], text, row.kind, (), ()
             )
         elif row.kind == "comment" and group.kind == "control":
             group.kind = "comment"
-        group.levels.append(row.level)
-        group.dialects.append(row.dialect or "")
+        group.levels += (row.level,)
+        group.dialects += (row.dialect or "",)
     return list(groups.values())
 
 
@@ -200,17 +203,24 @@ def categorize_discard(group: CommentGroup) -> str:
 # ---------------------------------------------------------------------------
 # Step: aggregation
 
+# One tuple object per distinct (k, n) pair: a corpus holds a few dozen pairs
+# but one per kept group, so the groups share them. A pair is immutable, so
+# sharing it across calls and callers changes no result.
+_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
+
 
 def aggregate(group: CommentGroup) -> tuple[int, int]:
     """Mean dialectness of the n usable (ordinal) labels as ``(k, n)``, where
-    k is their sum in thirds: the score is k / 3n, in [0, 1]."""
+    k is their sum in thirds: the score is k / 3n, in [0, 1]. Equal pairs are
+    the same object."""
     values = [LEVEL_THIRDS[level] for level in group.levels if level in LEVEL_THIRDS]
     if not values:
         raise AldiError(
             "group (%s, %s) has no usable level annotations"
             % (group.source, group.article_id)
         )
-    return sum(values), len(values)
+    pair = (sum(values), len(values))
+    return _PAIRS.setdefault(pair, pair)
 
 
 # ---------------------------------------------------------------------------

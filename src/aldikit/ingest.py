@@ -369,8 +369,10 @@ def read_rows(path: str | Path) -> Iterator[AnnotationRow]:
     """Read an annotation-row TSV produced by :func:`write_rows`.
 
     Label cells come back as the ``LEVELS``/``KINDS``/``SOURCES``/``DIALECTS``
-    string objects themselves, not as fresh copies.
+    string objects themselves, not as fresh copies, and the rows of one
+    article share one ``article_id`` string.
     """
+    articles: dict[str, str] = {}
     lines = numbered_cells(path)
     lineno, header = next(lines, (0, []))
     if lineno != 1 or header != list(ROWS_HEADER):
@@ -381,9 +383,9 @@ def read_rows(path: str | Path) -> Iterator[AnnotationRow]:
          native, best, text) = cells
         try:
             row = AnnotationRow(
-                _SOURCE_CELLS[source], article_id, _KIND_CELLS[kind],
-                _LEVEL_CELLS[level], _DIALECT_CELLS[dialect], worker,
-                residence or None, _NATIVE_CELLS[native], best or None, text,
+                _SOURCE_CELLS[source], articles.setdefault(article_id, article_id),
+                _KIND_CELLS[kind], _LEVEL_CELLS[level], _DIALECT_CELLS[dialect],
+                worker, residence or None, _NATIVE_CELLS[native], best or None, text,
             )
         except KeyError:
             what, cell = next(

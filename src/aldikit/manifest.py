@@ -12,8 +12,10 @@ file that holds blocks costs far more than reading it.
 A manifest records the command line, sha256 digests of every input file,
 the seed when one was used, the tool version, and a timestamp. The
 timestamp honors SOURCE_DATE_EPOCH so reproducible runs produce
-byte-identical manifests. A single output ``<out>`` gets its manifest
-beside it, as ``<out>.manifest.json``.
+byte-identical manifests. A command that writes a manifest reads it with
+:func:`timestamp` before its first output, so an unreadable value is
+refused while every old output is still whole. A single output ``<out>``
+gets its manifest beside it, as ``<out>.manifest.json``.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ def write_output(path: str | Path, chunks: Iterable[str]) -> None:
         raise
 
 
-def _timestamp() -> str:
+def timestamp() -> str:
+    """The manifest timestamp: SOURCE_DATE_EPOCH if set, else now, in UTC."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is not None:
         try:
@@ -102,16 +105,18 @@ def write_manifest(
     out_path: str | Path,
     command: list[str],
     inputs: list[str | Path],
+    stamp: str,
     seed: int | None = None,
     **extra,
 ) -> None:
-    """Write the manifest of one run to ``out_path``; ``extra`` adds keys."""
+    """Write the manifest of one run to ``out_path``; ``stamp`` is the run's
+    :func:`timestamp`, and ``extra`` adds keys."""
     manifest = {
         "command": command,
         "inputs": {str(p): file_digest(p) for p in inputs},
         "seed": seed,
         "tool_version": __version__,
-        "timestamp": _timestamp(),
+        "timestamp": stamp,
         **extra,
     }
     text = json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
@@ -119,7 +124,11 @@ def write_manifest(
 
 
 def write_sidecar(
-    out_path: str | Path, command: list[str], inputs: list[str | Path], **extra
+    out_path: str | Path,
+    command: list[str],
+    inputs: list[str | Path],
+    stamp: str,
+    **extra,
 ) -> None:
     """Write the manifest of the single output ``out_path`` beside it."""
-    write_manifest(str(out_path) + ".manifest.json", command, inputs, **extra)
+    write_manifest(str(out_path) + ".manifest.json", command, inputs, stamp, **extra)

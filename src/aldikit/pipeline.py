@@ -37,8 +37,9 @@ def run_ingest(
     command: Sequence[str] | None = None,
 ) -> dict:
     from . import ingest as ingest_mod
-    from .manifest import write_sidecar
+    from .manifest import timestamp, write_sidecar
 
+    stamp = timestamp()
     cmap = (
         ingest_mod.ColumnMapConfig.load(column_map_path)
         if column_map_path
@@ -59,7 +60,7 @@ def run_ingest(
     hit_count = row_count // ingest_mod.SENTENCES_PER_HIT  # every hit is 12 rows
     inputs = [hit_path] + ([column_map_path] if column_map_path else [])
     write_sidecar(
-        out_path, list(command or []), inputs, hits=hit_count, rows=row_count
+        out_path, list(command or []), inputs, stamp, hits=hit_count, rows=row_count
     )
     return {
         "hits": hit_count,
@@ -83,8 +84,9 @@ def run_build_dataset(
     differ in number between the two reads is refused."""
     from . import dataset as dataset_mod
     from . import ingest as ingest_mod
-    from .manifest import write_manifest, write_output
+    from .manifest import timestamp, write_manifest, write_output
 
+    stamp = timestamp()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     raw_keys, lines = ingest_mod.count_raw_keys(rows_path)
@@ -123,6 +125,7 @@ def run_build_dataset(
         out_dir / "manifest.json",
         list(command or []),
         inputs,
+        stamp,
         seed=seed,
     )
     return {

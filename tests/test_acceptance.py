@@ -70,8 +70,8 @@ def make_group(levels):
         canonical_text="نص",
         raw_text="نص",
         kind="comment",
-        levels=list(levels),
-        dialects=[""] * len(levels),
+        levels=tuple(levels),
+        dialects=("",) * len(levels),
     )
 
 
@@ -86,7 +86,7 @@ def test_criterion_1_aggregation_golden():
             (("Most", "Most", "Most"), "1.000000"),
         ]
         for levels, display in cases:
-            k, n = aggregate(make_group(list(levels)))
+            k, n = aggregate(make_group(levels))
             assert format_thirds(k, n) == display, levels
 
 

@@ -294,8 +294,8 @@ def test_level_agreement_items_selection():
         make_row(text="ج", level="Most", worker="w%d" % i) for i in range(4)
     ]
     labels, values = level_agreement_items(group_comments(rows))
-    assert labels == [["MSA", "Little", "Most"]]
-    assert values == [[0.0, pytest.approx(1 / 3), 1.0]]
+    assert labels == [("MSA", "Little", "Most")]
+    assert values == [(0.0, pytest.approx(1 / 3), 1.0)]
 
 
 LEVELS = ("MSA", "Little", "Mixed", "Most")

@@ -255,6 +255,39 @@ def test_unreadable_source_date_epoch_exits_2(tmp_path, capsys, monkeypatch):
     assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["build-dataset", "build-lexicon"])
+def test_unreadable_source_date_epoch_leaves_earlier_outputs_whole(
+    tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.chdir(tmp_path)
+    if command == "build-dataset":
+        make_rows_fixture(tmp_path)
+        argv = ["build-dataset", "rows.tsv", "-o", "out", "--seed"]
+        first, second = argv + ["42"], argv + ["7"]
+    else:
+        Path("corpus.txt").write_text("كلمة أولى كلمة\nثانية أولى\n", encoding="utf-8")
+        argv = ["build-lexicon", "corpus.txt", "-o", "lex.txt", "--min-count"]
+        first, second = argv + ["2"], argv + ["1"]
+    assert run(first) == 0
+    for path in tmp_path.rglob("*"):
+        os.utime(path, ns=(_OLD_NS, _OLD_NS))
+
+    def tree():
+        return {
+            path: (path.stat().st_ino, path.stat().st_mtime_ns,
+                   path.read_bytes() if path.is_file() else None)
+            for path in tmp_path.rglob("*")
+        }
+
+    before = tree()
+    capsys.readouterr()
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+    assert run(second) == 2
+    assert capsys.readouterr().err == "error: unreadable SOURCE_DATE_EPOCH 'abc'\n"
+    # every earlier output keeps its bytes, inode and mtime, and none is added
+    assert tree() == before
+
+
 def test_build_dataset_replays_assignment(tmp_path):
     rows_file = make_rows_fixture(tmp_path)
     first = tmp_path / "first"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from aldikit import dataset
+from aldikit.agreement import level_agreement_items
 from aldikit.dataset import (
     CommentGroup,
     aggregate,
@@ -17,9 +18,10 @@ from aldikit.dataset import (
 )
 from aldikit.errors import AldiError, FormatError
 from aldikit.estimators import format_score
+from aldikit.ingest import read_rows
 from aldikit.textnorm import normalize
 
-from conftest import make_row
+from conftest import make_row, write_rows_file
 
 
 def make_group(levels, kind="comment", source="AlGhad", article="a1", text="نص"):
@@ -29,8 +31,8 @@ def make_group(levels, kind="comment", source="AlGhad", article="a1", text="نص
         canonical_text=normalize(text),
         raw_text=text,
         kind=kind,
-        levels=list(levels),
-        dialects=[""] * len(levels),
+        levels=tuple(levels),
+        dialects=("",) * len(levels),
     )
 
 
@@ -44,8 +46,8 @@ def test_identical_comments_merge():
     ] + [make_row(text="نفس النص", worker="w%d" % i, level="Most") for i in range(3)]
     groups = group_comments(rows)
     assert len(groups) == 1
-    assert groups[0].levels == ["MSA"] * 3 + ["Most"] * 3
-    assert groups[0].dialects == [""] * 6
+    assert groups[0].levels == ("MSA",) * 3 + ("Most",) * 3
+    assert groups[0].dialects == ("",) * 6
 
 
 def test_same_text_different_articles_stay_apart():
@@ -93,8 +95,30 @@ def test_group_comments_streams_a_one_shot_generator():
             if (r.article_id, normalize(r.sentence_text))
             == (g.article_id, g.canonical_text)
         ]
-        assert g.levels == [r.level for r in members]
-        assert g.dialects == [r.dialect or "" for r in members]
+        assert g.levels == tuple(r.level for r in members)
+        assert g.dialects == tuple(r.dialect or "" for r in members)
+
+
+def test_groups_share_their_immutable_parts(tmp_path):
+    orders = (("MSA", "Little", "Most"), ("Most", "MSA", "Little"))
+    rows = [
+        make_row(article_id="art1", text=text, level=level, worker="w%d" % w)
+        for text, levels in zip(("أول", "ثان"), orders)
+        for w, level in enumerate(levels)
+    ]
+    groups = group_comments(read_rows(write_rows_file(tmp_path, rows)))
+    first, second = groups
+    assert [(type(g.levels), type(g.dialects)) for g in groups] == [(tuple, tuple)] * 2
+    # rows read from one file share each article's id string
+    assert first.article_id is second.article_id
+    # equal (k, n) pairs are one object
+    assert aggregate(first) == (4, 3)
+    assert aggregate(first) is aggregate(second)
+    # label triples are the groups' own tuples, and values share their floats
+    labels, values = level_agreement_items(groups)
+    assert labels[0] is first.levels and labels[1] is second.levels
+    assert values[0][2] is values[1][0] and values[0][0] is values[1][1]
+    assert values == [(0.0, 1 / 3, 1.0), (1.0, 0.0, 1 / 3)]
 
 
 # ---------------------------------------------------------------------------
