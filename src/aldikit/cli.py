@@ -229,15 +229,10 @@ def _cmd_evaluate(args):
 
     rows = read_dataset_file(args.gold, ("kind", "aldi", "split"))
     predictions = read_score_file(args.pred)
-    selected = [
-        (row_id, kind, aldi)
-        for row_id, (kind, aldi, split) in enumerate(rows, start=1)
-        if (args.split is None or split == args.split) and aldi
-    ]
-    if not selected:
-        raise FormatError("no gold rows selected")
     pairs = []
-    for row_id, kind, aldi in selected:
+    for row_id, (kind, aldi, split) in enumerate(rows, start=1):
+        if not aldi or args.split not in (None, split):
+            continue
         if row_id not in predictions:
             raise FormatError("no prediction for dataset row %d" % row_id)
         try:
@@ -247,9 +242,11 @@ def _cmd_evaluate(args):
                 "%s: row %d has non-numeric aldi %r" % (args.gold, row_id, aldi)
             ) from None
         pairs.append(ScoredPair(gold=gold, predicted=predictions[row_id], subset=kind))
-    if args.split is None and len(predictions) != len(selected):
+    if not pairs:
+        raise FormatError("no gold rows selected")
+    if args.split is None and len(predictions) != len(pairs):
         raise FormatError(
-            "%d predictions for %d gold rows" % (len(predictions), len(selected))
+            "%d predictions for %d gold rows" % (len(predictions), len(pairs))
         )
     report = rmse_report(pairs)
     text = "%-8s %8s  %s\n" % ("subset", "n", "rmse")

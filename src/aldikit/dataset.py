@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import textnorm
-from .errors import AldiError, FormatError, numbered_cells
+from .errors import AldiError, FormatError, numbered_cells, text_cell
 from .ingest import AnnotationRow, LEVELS
 
 # ordinal level -> its dialectness in thirds (Little is 1/3)
@@ -475,11 +475,15 @@ def _spread(values: Sequence[str]) -> tuple[str, str, str]:
     return first, second, third
 
 
+def _in_row_order(groups: Iterable[CommentGroup]) -> list[CommentGroup]:
+    """``groups`` in the row order of every output table: source, article, text."""
+    return sorted(groups, key=lambda g: (g.source, g.article_id, g.canonical_text))
+
+
 def dataset_lines(groups: Sequence[CommentGroup]) -> Iterable[str]:
     """The lines of dataset.tsv, each ending in a newline."""
     yield "\t".join(DATASET_HEADER) + "\n"
-    ordered = sorted(groups, key=lambda g: (g.source, g.article_id, g.canonical_text))
-    for g in ordered:
+    for g in _in_row_order(groups):
         levels = _spread(g.levels)
         dialects = _spread(g.dialects)
         yield "\t".join(
@@ -487,7 +491,7 @@ def dataset_lines(groups: Sequence[CommentGroup]) -> Iterable[str]:
                 g.source,
                 g.article_id,
                 g.kind,
-                g.raw_text.replace("\t", " ").replace("\n", " "),
+                text_cell(g.raw_text),
                 *levels,
                 *dialects,
                 format_thirds(*g.aldi) if g.aldi is not None else "",
@@ -498,10 +502,7 @@ def dataset_lines(groups: Sequence[CommentGroup]) -> Iterable[str]:
 
 def discarded_lines(discarded: Sequence[CommentGroup]) -> Iterable[str]:
     yield "\t".join(DISCARDED_HEADER) + "\n"
-    ordered = sorted(
-        discarded, key=lambda g: (g.source, g.article_id, g.canonical_text)
-    )
-    for g in ordered:
+    for g in _in_row_order(discarded):
         yield "\t".join(
             (
                 g.source,
@@ -509,7 +510,7 @@ def discarded_lines(discarded: Sequence[CommentGroup]) -> Iterable[str]:
                 g.kind,
                 g.category,
                 ";".join(g.levels),
-                g.raw_text.replace("\t", " ").replace("\n", " "),
+                text_cell(g.raw_text),
             )
         ) + "\n"
 
@@ -517,7 +518,7 @@ def discarded_lines(discarded: Sequence[CommentGroup]) -> Iterable[str]:
 def assignment_lines(groups: Sequence[CommentGroup]) -> Iterable[str]:
     yield "source\tarticle_id\tsplit\n"
     seen = set()
-    for g in sorted(groups, key=lambda g: (g.source, g.article_id)):
+    for g in _in_row_order(groups):
         key = (g.source, g.article_id)
         if key in seen or g.split is None:
             continue

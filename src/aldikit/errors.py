@@ -31,6 +31,12 @@ def numbered_cells(path: str | os.PathLike) -> Iterator[tuple[int, list[str]]]:
                 yield lineno, line.split("\t")
 
 
+def text_cell(text: str) -> str:
+    """``text`` as one tab-separated cell: each tab, ``\\n`` and ``\\r``, which
+    :func:`numbered_cells` would read as a line or cell end, becomes a space."""
+    return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
+
+
 def check_width(path: str | os.PathLike, lineno: int, cells: list[str], width: int):
     """Raise FormatError unless the line's ``cells`` number exactly ``width``."""
     if len(cells) != width:

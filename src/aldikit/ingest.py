@@ -20,7 +20,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import FormatError, check_width, numbered_cells
+from .errors import FormatError, check_width, numbered_cells, text_cell
 
 LEVELS = ("MSA", "Little", "Mixed", "Most", "NotArabic", "Missing")
 DIALECTS = ("EGY", "LEV", "GLF", "MAG", "IRQ", "GEN", "Unfamiliar", "Other")
@@ -317,11 +317,6 @@ def parse_hit_file(
             skipped.append(str(exc))
 
 
-def _sanitize_text(text: str) -> str:
-    # Text is the last column but still must not smuggle separators.
-    return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
-
-
 def format_row(r: AnnotationRow) -> str:
     native = "" if r.native_speaker is None else ("yes" if r.native_speaker else "no")
     return "\t".join(
@@ -335,7 +330,7 @@ def format_row(r: AnnotationRow) -> str:
             r.residence or "",
             native,
             r.best_dialect or "",
-            _sanitize_text(r.sentence_text),
+            text_cell(r.sentence_text),
         )
     )
 

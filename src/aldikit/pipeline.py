@@ -87,8 +87,6 @@ def run_build_dataset(
     from .manifest import timestamp, write_manifest, write_output
 
     stamp = timestamp()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     raw_keys, lines = ingest_mod.count_raw_keys(rows_path)
     groups = dataset_mod.group_comments(ingest_mod.read_rows(rows_path))
     if not groups:
@@ -113,6 +111,8 @@ def run_build_dataset(
     stats["seed"] = seed
     stats["distinct_keys"] = {"normalized": normalized_keys, "raw": raw_keys}
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_output(out_dir / "dataset.tsv", dataset_mod.dataset_lines(kept))
     write_output(out_dir / "discarded.tsv", dataset_mod.discarded_lines(discarded))
     write_output(out_dir / "split_assignment.tsv", dataset_mod.assignment_lines(kept))

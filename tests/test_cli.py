@@ -240,6 +240,39 @@ def test_build_dataset_non_utf8_rows_exits_2(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+def _headless(tmp_path):
+    rows_file = make_rows_fixture(tmp_path)
+    lines = rows_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows_file.write_text("".join(lines[1:]), encoding="utf-8")
+    return [rows_file], "missing or wrong annotation-row header"
+
+
+def _splits_missing_an_article(tmp_path):
+    splits = tmp_path / "splits.tsv"
+    splits.write_text(
+        "".join("AlGhad\tart%d\ttrain\n" % a for a in range(5)), encoding="utf-8"
+    )
+    return [make_rows_fixture(tmp_path), "--splits", splits], "article 'art5'"
+
+
+def _two_articles(tmp_path):
+    rows = [
+        make_row(article_id="art%d" % a, worker="w%d" % w)
+        for a in range(2)
+        for w in range(3)
+    ]
+    return [write_rows_file(tmp_path, rows)], "only 2 article(s)"
+
+
+@pytest.mark.parametrize("refused", [_headless, _splits_missing_an_article, _two_articles])
+def test_a_refused_build_creates_no_output_directory(tmp_path, capsys, refused):
+    args, message = refused(tmp_path)
+    out = tmp_path / "new" / "out"
+    assert run(["build-dataset", *args, "-o", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
 def test_internal_value_error_is_not_reported_as_bad_input(tmp_path, monkeypatch):
     def broken(rows_path):
         raise ValueError("internal bug")
@@ -480,6 +513,47 @@ def test_evaluate_non_numeric_gold_exits_2(tmp_path, capsys):
     assert "row 1 has non-numeric aldi 'high'" in capsys.readouterr().err
 
 
+def _evaluate_faults(tmp_path, non_numeric, missing):
+    """Exit code of evaluate on the fixture's dataset with a
+    non-numeric aldi on the rows in ``non_numeric`` and no prediction for
+    the rows in ``missing``."""
+    out_dir = tmp_path / "out"
+    run(["build-dataset", make_rows_fixture(tmp_path), "--seed", "5", "-o", out_dir])
+    dataset_file = out_dir / "dataset.tsv"
+    lines = dataset_file.read_text(encoding="utf-8").splitlines()
+    aldi_col = lines[0].split("\t").index("aldi")
+    for row_id in non_numeric:
+        cells = lines[row_id].split("\t")
+        cells[aldi_col] = "high"
+        lines[row_id] = "\t".join(cells)
+    dataset_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    preds = tmp_path / "preds.tsv"
+    preds.write_text(
+        "".join("%d\t0.5\n" % i for i in range(1, len(lines)) if i not in missing),
+        encoding="utf-8",
+    )
+    return run(["evaluate", "--gold", dataset_file, "--pred", preds])
+
+
+@pytest.mark.parametrize(
+    "non_numeric, missing, message",
+    [
+        ([2], [5], "row 2 has non-numeric aldi 'high'"),
+        ([5], [2], "no prediction for dataset row 2"),
+        ([3], [3], "no prediction for dataset row 3"),
+        ([], [1, 4], "no prediction for dataset row 1"),
+        ([4, 6], [], "row 4 has non-numeric aldi 'high'"),
+    ],
+)
+def test_evaluate_reports_the_first_faulty_row(
+    tmp_path, capsys, non_numeric, missing, message
+):
+    assert _evaluate_faults(tmp_path, non_numeric, missing) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(message + "\n")
+    assert err.count("\n") == 1
+
+
 def test_score_and_evaluate_ids_skip_blank_dataset_lines(tmp_path, capsys):
     # ids count data lines, so the blank third line shifts no later row
     cells = [("0.000000", "test"), ("1.000000", "test"),
@@ -589,6 +663,25 @@ def test_evaluate_split_rejects_repeated_id(tmp_path, capsys):
     )
     assert code == 2
     assert "repeats id 1" in capsys.readouterr().err
+
+
+def test_evaluate_split_that_selects_nothing_is_refused_first(tmp_path, capsys):
+    rows_file = make_rows_fixture(tmp_path)
+    out_dir = tmp_path / "out"
+    run(["build-dataset", rows_file, "--seed", "5", "-o", out_dir])
+    dataset_file = out_dir / "dataset.tsv"
+    lines = dataset_file.read_text(encoding="utf-8").splitlines()
+    dataset_file.write_text(  # every row in train, so --split test selects none
+        lines[0] + "\n"
+        + "".join(line.rsplit("\t", 1)[0] + "\ttrain\n" for line in lines[1:]),
+        encoding="utf-8",
+    )
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("1\t0.5\n", encoding="utf-8")  # rows 2 onwards are missing
+    capsys.readouterr()
+    code = run(["evaluate", "--gold", dataset_file, "--pred", preds, "--split", "test"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: no gold rows selected\n"
 
 
 def test_contrastive_command(tmp_path, capsys):

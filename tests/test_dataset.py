@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from aldikit import dataset
+from aldikit import dataset, pipeline
 from aldikit.agreement import level_agreement_items
 from aldikit.dataset import (
+    LEVEL_THIRDS,
     CommentGroup,
     aggregate,
     categorize_discard,
@@ -16,7 +17,7 @@ from aldikit.dataset import (
     group_comments,
     make_splits,
 )
-from aldikit.errors import AldiError, FormatError
+from aldikit.errors import AldiError, FormatError, check_width, numbered_cells
 from aldikit.estimators import format_score
 from aldikit.ingest import read_rows
 from aldikit.textnorm import normalize
@@ -409,6 +410,83 @@ def test_dataset_lines_sorted_and_spread():
     assert first[10] == "0.111111"
     wide = lines[2].split("\t")
     assert wide[4:7] == ["MSA", "Little", "Mixed;Most;MSA"]
+
+
+def test_separators_in_a_text_become_spaces_in_its_cell(tmp_path):
+    texts = ["كلام\tجميل", "كلام\nجميل", "كلام\rجميل", "كلام\r\nجميل"]
+    expected = ["كلام  جميل", "كلام جميل", "كلام جميل", "كلام جميل"]
+    kept = [make_group(["MSA", "Little", "Most"], text=t) for t in texts]
+    discarded = [make_group(["Missing"] * 3, text=t) for t in texts]
+    for k, d in zip(kept, discarded):
+        k.aldi, k.split, d.category = aggregate(k), "train", "Other"
+    dataset_file, discarded_file = tmp_path / "dataset.tsv", tmp_path / "discarded.tsv"
+    dataset_file.write_bytes("".join(dataset.dataset_lines(kept)).encode("utf-8"))
+    discarded_file.write_bytes(
+        "".join(dataset.discarded_lines(discarded)).encode("utf-8")
+    )
+    rows = pipeline.read_dataset_file(dataset_file, ("text",))
+    assert sorted(text for text, in rows) == expected
+    lines = list(numbered_cells(discarded_file))
+    for lineno, cells in lines:
+        check_width(discarded_file, lineno, cells, len(dataset.DISCARDED_HEADER))
+    assert sorted(cells[-1] for _, cells in lines[1:]) == expected
+
+
+def _shuffled_groups(rng):
+    """Kept and discarded groups of 3 sources in a shuffled order, with texts
+    whose diacritics make their raw and canonical order differ."""
+    letters = "ابتكلمنهوي"
+    kept, discarded = [], []
+    for source in ("AlRiyadh", "AlGhad", "Youm7"):
+        for article in rng.sample(range(100), 5):
+            split = rng.choice(["train", "dev", "test"])
+            count, texts = rng.randint(1, 6), set()
+            while len(texts) < count:
+                texts.add("".join(rng.choice(letters) for _ in range(rng.randint(1, 4))))
+            for word in sorted(texts):
+                raw = "".join(ch + rng.choice(["", "", "\u064e"]) for ch in word)
+                junk = rng.random() < 0.3
+                group = make_group(
+                    ["Missing"] * 3 if junk else [rng.choice(list(LEVEL_THIRDS))] * 3,
+                    kind=rng.choice(["comment", "control"]),
+                    source=source, article="art%d" % article, text=raw,
+                )
+                if junk:
+                    group.category = "Other"
+                    discarded.append(group)
+                else:
+                    group.aldi, group.split = aggregate(group), split
+                    kept.append(group)
+    rng.shuffle(kept)
+    rng.shuffle(discarded)
+    return kept, discarded
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tables_list_rows_in_source_article_text_order(seed):
+    kept, discarded = _shuffled_groups(random.Random(seed))
+    assert len({g.split for g in kept}) > 1
+
+    def oracle(lines, groups, key):
+        """The table with its one-group lines in ``key`` order."""
+        rows = [list(lines([g]))[1] for g in sorted(groups, key=key)]
+        return "".join(lines([])) + "".join(rows)
+
+    def by_text(g):
+        return g.source, g.article_id, g.canonical_text
+
+    assert "".join(dataset.dataset_lines(kept)) == oracle(
+        dataset.dataset_lines, kept, by_text
+    )
+    assert "".join(dataset.discarded_lines(discarded)) == oracle(
+        dataset.discarded_lines, discarded, by_text
+    )
+    articles, expected = set(), ["source\tarticle_id\tsplit\n"]
+    for g in sorted(kept, key=lambda g: (g.source, g.article_id)):
+        if (g.source, g.article_id) not in articles:
+            articles.add((g.source, g.article_id))
+            expected.append("%s\t%s\t%s\n" % (g.source, g.article_id, g.split))
+    assert "".join(dataset.assignment_lines(kept)) == "".join(expected)
 
 
 def test_render_stats_text_smoke():
