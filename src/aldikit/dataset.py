@@ -140,7 +140,7 @@ def group_comments(rows: Iterable[AnnotationRow]) -> list[CommentGroup]:
         elif row.kind == "comment" and group.kind == "control":
             group.kind = "comment"
         group.levels += (row.level,)
-        group.dialects += (row.dialect or "",)
+        group.dialects += (row.dialect,)
     return list(groups.values())
 
 
@@ -516,11 +516,8 @@ def discarded_lines(discarded: Sequence[CommentGroup]) -> Iterable[str]:
 
 
 def assignment_lines(groups: Sequence[CommentGroup]) -> Iterable[str]:
+    """One line per article in row order; an article's groups all share its split."""
     yield "source\tarticle_id\tsplit\n"
-    seen = set()
-    for g in _in_row_order(groups):
-        key = (g.source, g.article_id)
-        if key in seen or g.split is None:
-            continue
-        seen.add(key)
-        yield "%s\t%s\t%s\n" % (g.source, g.article_id, g.split)
+    splits = {(g.source, g.article_id): g.split for g in groups if g.split is not None}
+    for (source, article_id), split in sorted(splits.items()):
+        yield "%s\t%s\t%s\n" % (source, article_id, split)

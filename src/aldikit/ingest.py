@@ -7,8 +7,9 @@ driven by an explicit column map (JSON) instead of hard-coded offsets; a
 default map for the known public release ships in ``aldikit/data``.
 
 Each parsed line yields its 12 :class:`AnnotationRow` records, one per
-(sentence, annotator) pair, each carrying the worker's fields. These flat
-rows are the file every later command reads. ``build-dataset`` and
+(sentence, annotator) pair, each carrying the worker's fields. A row's fields
+are its cells in the rows file, ``""`` for no value. These flat rows are the
+file every later command reads. ``build-dataset`` and
 ``agreement`` stream them into comment groups that keep only each
 annotation's level and dialect labels, never the rows themselves.
 """
@@ -86,17 +87,18 @@ KIND_ALIASES = {
 
 
 class AnnotationRow(NamedTuple):
-    """One annotation; the fields are the annotation-row file's columns, in order."""
+    """One annotation: the annotation-row file's columns, in order, held as
+    their cells (``""`` for no value; ``native_speaker`` is "yes" or "no")."""
 
     source: str
     article_id: str
     kind: str
     level: str
-    dialect: str | None
+    dialect: str
     worker_id: str
-    residence: str | None
-    native_speaker: bool | None
-    best_dialect: str | None
+    residence: str
+    native_speaker: str
+    best_dialect: str
     sentence_text: str
 
 
@@ -243,14 +245,14 @@ def parse_label(token: str, aliases: dict[str, str], what: str, lineno: int) -> 
     return label
 
 
-def _parse_native(token: str, lineno: int) -> bool | None:
+def _parse_native(token: str, lineno: int) -> str:
     token = token.strip().lower()
     if token in ("", "na", "n/a", "none"):
-        return None
+        return ""
     if token in ("yes", "y", "true", "1"):
-        return True
+        return "yes"
     if token in ("no", "n", "false", "0"):
-        return False
+        return "no"
     raise FormatError("line %d: unknown native_speaker value %r" % (lineno, token))
 
 
@@ -269,8 +271,7 @@ def _parse_hit_line(
     worker_id, residence, native, best_dialect = _values(cells, cmap.annotator)
     if not worker_id:
         raise FormatError("line %d: empty worker_id" % lineno)
-    native_speaker = _parse_native(native, lineno)
-    annotator = (worker_id, residence or None, native_speaker, best_dialect or None)
+    annotator = (worker_id, residence, _parse_native(native, lineno), best_dialect)
 
     rows = []
     for i, refs in enumerate(cmap.blocks):
@@ -283,9 +284,9 @@ def _parse_hit_line(
             )
         level = parse_label(level, cmap.level_aliases, "level label", lineno)
         # An MSA row drops its dialect, but only after the token is checked.
-        dialect = parse_label(dialect, DIALECT_ALIASES, "dialect label", lineno) or None
+        dialect = parse_label(dialect, DIALECT_ALIASES, "dialect label", lineno)
         rows.append(AnnotationRow(
-            source, article_id, kind, level, None if level == "MSA" else dialect,
+            source, article_id, kind, level, "" if level == "MSA" else dialect,
             *annotator, text,
         ))
 
@@ -318,21 +319,7 @@ def parse_hit_file(
 
 
 def format_row(r: AnnotationRow) -> str:
-    native = "" if r.native_speaker is None else ("yes" if r.native_speaker else "no")
-    return "\t".join(
-        (
-            r.source,
-            r.article_id,
-            r.kind,
-            r.level,
-            r.dialect or "",
-            r.worker_id,
-            r.residence or "",
-            native,
-            r.best_dialect or "",
-            text_cell(r.sentence_text),
-        )
-    )
+    return "\t".join((*r[:-1], text_cell(r.sentence_text)))
 
 
 def write_rows(rows: Iterable[AnnotationRow], path: str | Path) -> None:
@@ -343,13 +330,12 @@ def write_rows(rows: Iterable[AnnotationRow], path: str | Path) -> None:
     write_output(path, chain([header], (format_row(r) + "\n" for r in rows)))
 
 
-_NATIVE_CELLS = {"yes": True, "no": False, "": None}
-# One lookup per cell both checks it and returns the module's own label object
-# (or the parsed value), so rows held by a caller share their label strings.
-_LEVEL_CELLS, _KIND_CELLS, _SOURCE_CELLS = (
-    dict(zip(labels, labels)) for labels in (LEVELS, KINDS, SOURCES)
+# One lookup per cell both checks it and returns the module's own label
+# object, so rows held by a caller share their label strings.
+_LEVEL_CELLS, _KIND_CELLS, _SOURCE_CELLS, _DIALECT_CELLS, _NATIVE_CELLS = (
+    dict(zip(labels, labels))
+    for labels in (LEVELS, KINDS, SOURCES, ("", *DIALECTS), ("yes", "no", ""))
 )
-_DIALECT_CELLS = {"": None, **dict(zip(DIALECTS, DIALECTS))}
 # Checked in this order, so a line with several bad cells names the first.
 _CELL_CHECKS = (
     (3, "level", _LEVEL_CELLS),
@@ -358,6 +344,12 @@ _CELL_CHECKS = (
     (4, "dialect", _DIALECT_CELLS),
     (7, "native_speaker", _NATIVE_CELLS),
 )
+
+
+def _check_header(path: str | Path, lineno: int, cells: list[str]) -> None:
+    """Raise FormatError unless ``cells``, read at ``lineno``, are line 1's header."""
+    if lineno != 1 or cells != list(ROWS_HEADER):
+        raise FormatError("%s: missing or wrong annotation-row header" % path)
 
 
 def read_rows(path: str | Path) -> Iterator[AnnotationRow]:
@@ -369,9 +361,7 @@ def read_rows(path: str | Path) -> Iterator[AnnotationRow]:
     """
     articles: dict[str, str] = {}
     lines = numbered_cells(path)
-    lineno, header = next(lines, (0, []))
-    if lineno != 1 or header != list(ROWS_HEADER):
-        raise FormatError("%s: missing or wrong annotation-row header" % path)
+    _check_header(path, *next(lines, (0, [])))
     for lineno, cells in lines:
         check_width(path, lineno, cells, len(ROWS_HEADER))
         (source, article_id, kind, level, dialect, worker, residence,
@@ -380,7 +370,7 @@ def read_rows(path: str | Path) -> Iterator[AnnotationRow]:
             row = AnnotationRow(
                 _SOURCE_CELLS[source], articles.setdefault(article_id, article_id),
                 _KIND_CELLS[kind], _LEVEL_CELLS[level], _DIALECT_CELLS[dialect],
-                worker, residence or None, _NATIVE_CELLS[native], best or None, text,
+                worker, residence, _NATIVE_CELLS[native], best, text,
             )
         except KeyError:
             what, cell = next(
@@ -396,17 +386,18 @@ def count_raw_keys(path: str | Path) -> tuple[int, int]:
     """``(distinct (source, article_id, sentence_text) keys, data lines)`` of a
     rows file, counted as :func:`read_rows` will read it.
 
-    Nothing is checked here: any bytes count, and :func:`read_rows`, run
-    next, refuses a malformed file. A key is its line without the seven
+    Line 1 must be the header, as there, so a wrong file is refused after one
+    line. Data lines are not checked: any bytes count, and :func:`read_rows`,
+    run next, refuses a malformed one. A key is its line without the seven
     middle cells. The file is read as latin-1, one character per byte: text
-    mode ends lines where the UTF-8 read does, and each key encodes back to
-    the line's own bytes, which a set holds in less memory than the str.
-    Blank lines are skipped as there, and line 1 is the header.
+    mode ends lines where the UTF-8 read does, the ASCII header reads alike,
+    and each key encodes back to the line's own bytes, which a set holds in
+    less memory than the str. Blank lines are skipped as there.
     """
     keys: set[bytes] = set()
     lines = 0
     with open(path, encoding="latin-1") as fh:
-        next(fh, None)
+        _check_header(path, 1, next(fh, "").rstrip("\n").split("\t"))
         for line in fh:
             if line := line.rstrip("\n"):
                 lines += 1

@@ -78,7 +78,7 @@ def make_row(
     text="نص تجريبي",
     kind="comment",
     level="MSA",
-    dialect=None,
+    dialect="",
     worker="w1",
 ):
     return ingest.AnnotationRow(
@@ -88,8 +88,8 @@ def make_row(
         level=level,
         dialect=dialect,
         worker_id=worker,
-        residence=None,
-        native_speaker=None,
-        best_dialect=None,
+        residence="",
+        native_speaker="",
+        best_dialect="",
         sentence_text=text,
     )

@@ -339,7 +339,7 @@ def _rows_fixture(tmp_path):
                         article_id="art%d" % a,
                         text="تعليق %d %d" % (a, c),
                         level=level,
-                        dialect="EGY" if level != "MSA" else None,
+                        dialect="EGY" if level != "MSA" else "",
                         worker="w%d" % w,
                     )
                 )

@@ -160,7 +160,7 @@ def make_rows_fixture(tmp_path):
                         article_id="art%d" % a,
                         text="تعليق رقم %d-%d" % (a, c),
                         level=level,
-                        dialect="EGY" if level != "MSA" else None,
+                        dialect="EGY" if level != "MSA" else "",
                         worker="w%d" % w,
                     )
                 )

@@ -80,7 +80,7 @@ def test_group_comments_streams_a_one_shot_generator():
             text=rng.choice(texts),
             kind=rng.choice(["comment", "control"]),
             level=rng.choice(["MSA", "Most", "Missing"]),
-            dialect=rng.choice([None, "EGY"]),
+            dialect=rng.choice(["", "EGY"]),
             worker="w%d" % i,
         )
         for i in range(60)
@@ -97,7 +97,7 @@ def test_group_comments_streams_a_one_shot_generator():
             == (g.article_id, g.canonical_text)
         ]
         assert g.levels == tuple(r.level for r in members)
-        assert g.dialects == tuple(r.dialect or "" for r in members)
+        assert g.dialects == tuple(r.dialect for r in members)
 
 
 def test_groups_share_their_immutable_parts(tmp_path):

@@ -281,8 +281,7 @@ def _rows_valid(rng):
             [source, article, kind, level, dialect, worker, residence, native, best, text]
         ))
         expected.append(ingest.AnnotationRow(
-            source, article, kind, level, dialect or None, worker, residence or None,
-            {"yes": True, "no": False, "": None}[native], best or None, text,
+            source, article, kind, level, dialect, worker, residence, native, best, text,
         ))
     return ["\t".join(ingest.ROWS_HEADER)], lines, expected
 
@@ -304,8 +303,8 @@ def _rows_unknown_label(rng, lines):
 
 
 def _build_nothing(path):
-    """build-dataset as a rows reader: its raw-key count reads the file
-    unchecked first, and a refused build creates no path."""
+    """build-dataset as a rows reader: its raw-key count reads the file first
+    and checks only the header, and a refused build creates no path."""
     out = path.parent / "out"
     try:
         pipeline.run_build_dataset(path, out, 0)
@@ -389,6 +388,46 @@ def test_a_required_header_must_be_line_1(tmp_path, name, message):
             with pytest.raises(FormatError) as excinfo:
                 read(path)
             assert str(excinfo.value) == "%s: %s" % (path, message)
+
+
+_LINE_1_FAULTS = ("missing", "reordered", "extra", "bom", "blank")
+
+
+def _wrong_first_lines(rng, fault):
+    """Lines that leave anything but the rows header alone on line 1."""
+    cells = list(ingest.ROWS_HEADER)
+    if fault == "missing":
+        return []
+    if fault == "reordered":
+        i, j = rng.sample(range(len(cells)), 2)
+        cells[i], cells[j] = cells[j], cells[i]
+    elif fault == "extra":
+        cells.insert(rng.randrange(len(cells) + 1), rng.choice(["", "extra"]))
+    elif fault == "bom":
+        cells[0] = "\ufeff" + cells[0]
+    return [""] * (fault == "blank") + ["\t".join(cells)]
+
+
+def test_both_reads_of_rows_check_line_1_alike(tmp_path):
+    """read_rows and build-dataset's raw-key count refuse the same first lines
+    with the same message, and both take the header with any line end."""
+    rng = random.Random("rows-line-1")
+    path = tmp_path / "rows.tsv"
+    message = "%s: missing or wrong annotation-row header" % path
+    for case in range(60):
+        _, lines, expected = _rows_valid(rng)
+        fault = _LINE_1_FAULTS[case % len(_LINE_1_FAULTS)]
+        end = rng.choice(["\n", "\r\n", "\r"])
+        _write(path, rng, _wrong_first_lines(rng, fault), lines, end)
+        for read in (ROWS.read, ingest.count_raw_keys):
+            with pytest.raises(FormatError) as excinfo:
+                read(path)
+            assert str(excinfo.value) == message, (case, fault, read)
+        end = ("\n", "\r\n", "\r")[case % 3]
+        _write(path, rng, [_ROWS_HEADER], lines, end)
+        assert ROWS.read(path) == expected, (case, end)
+        keys = {(r.source, r.article_id, r.sentence_text) for r in expected}
+        assert ingest.count_raw_keys(path) == (len(keys), len(lines)), (case, end)
 
 
 # --- build-dataset's distinct keys ---------------------------------------------

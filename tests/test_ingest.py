@@ -29,7 +29,7 @@ def test_explode_copies_annotator(hit_file, default_cmap):
     assert len(rows) == 12
     assert {
         (r.worker_id, r.residence, r.native_speaker, r.best_dialect) for r in rows
-    } == {("w1", "JO", True, "LEV")}
+    } == {("w1", "JO", "yes", "LEV")}
     # sentence order preserved, field copy intact
     assert rows[2].level == "Most"
     assert rows[2].dialect == "EGY"
@@ -104,7 +104,7 @@ def test_msa_rows_drop_dialect(tmp_path, default_cmap):
     path.write_text(make_hit_line(cells=cells) + "\n", encoding="utf-8")
     hit = next(ingest.parse_hit_file(path, default_cmap))
     assert hit[4].level == "MSA"
-    assert hit[4].dialect is None
+    assert hit[4].dialect == ""
 
 
 def test_rows_roundtrip_is_byte_stable(tmp_path, hit_file, default_cmap):
@@ -126,13 +126,21 @@ def test_read_rows_rejects_bad_header(tmp_path):
         list(ingest.read_rows(path))
 
 
+def test_count_raw_keys_refuses_a_hit_export_as_read_rows_does(hit_file):
+    message = "%s: missing or wrong annotation-row header" % hit_file
+    for read in (lambda path: list(ingest.read_rows(path)), ingest.count_raw_keys):
+        with pytest.raises(FormatError) as excinfo:
+            read(hit_file)
+        assert str(excinfo.value) == message
+
+
 def test_read_rows_returns_the_module_label_objects(tmp_path):
     rows = [
         make_row(source=source, kind=kind, level=level, dialect=dialect)
         for source in ingest.SOURCES
         for kind in ingest.KINDS
         for level in ingest.LEVELS
-        for dialect in ingest.DIALECTS + (None,)
+        for dialect in ingest.DIALECTS + ("",)
     ]
     reread = list(ingest.read_rows(write_rows_file(tmp_path, rows)))
     assert reread == rows
@@ -140,7 +148,7 @@ def test_read_rows_returns_the_module_label_objects(tmp_path):
         assert any(row.source is label for label in ingest.SOURCES)
         assert any(row.kind is label for label in ingest.KINDS)
         assert any(row.level is label for label in ingest.LEVELS)
-        assert row.dialect is None or any(row.dialect is d for d in ingest.DIALECTS)
+        assert row.dialect == "" or any(row.dialect is d for d in ingest.DIALECTS)
 
 
 def test_column_map_load_rejects_deep_nesting(tmp_path):
@@ -194,7 +202,7 @@ _TEXT_ALPHABET = list("كتب ابدا جدا؟!x7") + ["\t", "\n", "\r", "\u202
 
 
 def _maybe(rng: random.Random, values):
-    return rng.choice([None, *values])
+    return rng.choice(["", *values])
 
 
 def _random_row(rng: random.Random) -> ingest.AnnotationRow:
@@ -206,7 +214,7 @@ def _random_row(rng: random.Random) -> ingest.AnnotationRow:
         dialect=_maybe(rng, ingest.DIALECTS),
         worker_id="w%d" % rng.randrange(20),
         residence=_maybe(rng, ("JO", "EG", "SA")),
-        native_speaker=rng.choice([True, False, None]),
+        native_speaker=rng.choice(["yes", "no", ""]),
         best_dialect=_maybe(rng, ingest.DIALECTS),
         sentence_text="".join(
             rng.choice(_TEXT_ALPHABET) for _ in range(rng.randrange(0, 25))
@@ -219,8 +227,8 @@ def test_rows_roundtrip_property(tmp_path):
     rows = [_random_row(rng) for _ in range(500)]
     assert {r.level for r in rows} == set(ingest.LEVELS)
     assert {r.kind for r in rows} == set(ingest.KINDS)
-    assert {r.native_speaker for r in rows} == {True, False, None}
-    assert None in {r.dialect for r in rows} and None in {r.residence for r in rows}
+    assert {r.native_speaker for r in rows} == {"yes", "no", ""}
+    assert "" in {r.dialect for r in rows} and "" in {r.residence for r in rows}
     assert any("\t" in r.sentence_text for r in rows)
     assert any("\n" in r.sentence_text for r in rows)
 
@@ -588,11 +596,11 @@ def oracle_parse_hit_line(cells, raw, lineno):
     worker_id = _oracle_cell(raw.get("worker_id"), cells, lineno, "worker_id")
     if not worker_id:
         raise FormatError("line %d: empty worker_id" % lineno)
-    residence = _oracle_cell(raw.get("residence"), cells, lineno, "residence") or None
+    residence = _oracle_cell(raw.get("residence"), cells, lineno, "residence")
     native = ingest._parse_native(
         _oracle_cell(raw.get("native_speaker"), cells, lineno, "native_speaker"), lineno
     )
-    best = _oracle_cell(raw.get("best_dialect"), cells, lineno, "best_dialect") or None
+    best = _oracle_cell(raw.get("best_dialect"), cells, lineno, "best_dialect")
     rows = []
     for i, block in enumerate(raw["sentences"]):
         source = _oracle_label(
@@ -612,9 +620,9 @@ def oracle_parse_hit_line(cells, raw, lineno):
         dialect = _oracle_label(
             _oracle_cell(block.get("dialect"), cells, lineno, "dialect"),
             ingest.DIALECT_ALIASES, "dialect label", lineno,
-        ) or None
+        )
         if level == "MSA":
-            dialect = None
+            dialect = ""
         rows.append(ingest.AnnotationRow(
             source, _oracle_cell(block.get("article_id"), cells, lineno, "article_id"),
             kind, level, dialect, worker_id, residence, native, best,
