@@ -172,7 +172,7 @@ def _cmd_build_lexicon(args):
     stamp = timestamp()
     with open(args.corpus, encoding="utf-8") as fh:
         lexicon, counts = est_mod.build_lexicon(fh, min_occurrences=args.min_count)
-    est_mod.save_lexicon(lexicon, args.output)
+    est_mod.save_lexicon(lexicon, args.min_count, args.output)
     write_sidecar(
         args.output, args.argv, [args.corpus], stamp,
         tokens=len(lexicon), min_count=args.min_count,
@@ -280,7 +280,6 @@ def _cmd_dprime(args):
 
 def _cmd_contrastive(args):
     from . import evaluation as eval_mod
-    from .estimators import format_score
     from .manifest import timestamp, write_output, write_sidecar
 
     kinds = [k for k, (f, _) in _ESTIMATORS.items() if _flag_value(args, f[0]) is not None]
@@ -293,7 +292,7 @@ def _cmd_contrastive(args):
     if not pairs:
         raise FormatError("%s contains no pairs" % args.pairs_file)
     rows = eval_mod.contrastive_matrix(pairs, estimators)
-    table = eval_mod.render_matrix_tsv(rows, format_score)
+    table = eval_mod.render_matrix_tsv(rows)
     payload = {
         "rows": [
             {
@@ -317,7 +316,7 @@ def _cmd_speech(args):
     from pathlib import Path
 
     from . import speech as speech_mod
-    from .estimators import format_score, read_label_file
+    from .estimators import read_label_file
     from .manifest import timestamp, write_sidecar
     from .svgplot import emit_plot
 
@@ -329,7 +328,7 @@ def _cmd_speech(args):
     outputs = [out for out in (args.output, args.plot) if out]
     stamp = timestamp() if outputs else None
     if args.output:
-        speech_mod.write_series_csv(series, args.output, format_score)
+        speech_mod.write_series_csv(series, args.output)
     if args.plot:
         emit_plot(series, args.plot)
     for out in outputs:

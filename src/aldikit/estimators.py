@@ -12,9 +12,13 @@ Four estimators, all emitting scores in [0, 1]:
 - external: arbitrary scorer process speaking a newline protocol
   (sentences in on stdin, one decimal per line out on stdout).
 
-Lexicon membership is checked on normalized tokens (diacritics stripped):
-large MSA corpora are mostly undiacritized, so diacritics on the input side
-would only manufacture false out-of-vocabulary hits.
+The first three cannot leave [0, 1], so their scores are returned as
+computed; only an external scorer's output is clipped.
+
+A lexicon is the frozenset of its tokens. Membership is checked on
+normalized tokens (diacritics stripped): large MSA corpora are mostly
+undiacritized, so diacritics on the input side would only manufacture
+false out-of-vocabulary hits.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import os
 from collections import Counter
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import textnorm
 from .errors import FormatError, ProtocolError, numbered_cells
@@ -53,23 +57,9 @@ KNOWN_DI_LABELS = frozenset(
 LEXICON_MAGIC = "#aldi-lexicon v1"
 
 
-class Lexicon:
-    """Set of standard-language tokens seen at least min_count times."""
-
-    def __init__(self, tokens: frozenset[str], min_count: int):
-        self.tokens = tokens
-        self.min_count = min_count
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.tokens
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
 def build_lexicon(
     corpus: Iterable[str], min_occurrences: int = 2
-) -> tuple[Lexicon, Counter]:
+) -> tuple[frozenset[str], Counter]:
     """Count normalized tokens over corpus lines; keep those with
     frequency >= min_occurrences. Returns (lexicon, full counts).
 
@@ -92,41 +82,41 @@ def build_lexicon(
             "no token occurs at least %d times (%d distinct tokens seen)"
             % (min_occurrences, len(counts))
         )
-    return Lexicon(kept, min_occurrences), counts
+    return kept, counts
 
 
-def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
-    """One sorted token per line, under the v1 header."""
-    header = "%s min_count=%d\n" % (LEXICON_MAGIC, lexicon.min_count)
-    write_output(path, [header, *(token + "\n" for token in sorted(lexicon.tokens))])
+def save_lexicon(lexicon: frozenset[str], min_count: int, path: str | Path) -> None:
+    """One sorted token per line, under the v1 header that records ``min_count``."""
+    header = "%s min_count=%d\n" % (LEXICON_MAGIC, min_count)
+    write_output(path, [header, *(token + "\n" for token in sorted(lexicon))])
 
 
-def load_lexicon(path: str | Path) -> Lexicon:
+def load_lexicon(path: str | Path) -> frozenset[str]:
+    """The tokens of a lexicon file; its header's ``min_count``, if present,
+    must be an integer."""
     lines = numbered_cells(path)
     lineno, cells = next(lines, (0, []))
     header = "\t".join(cells)
     if lineno != 1 or not header.startswith(LEXICON_MAGIC):
         raise FormatError("%s: not a lexicon file (bad header)" % path)
-    min_count = 1
     for part in header.split():
         if part.startswith("min_count="):
             try:
-                min_count = int(part.split("=", 1)[1])
+                int(part.split("=", 1)[1])
             except ValueError:
                 raise FormatError("%s: unreadable min_count" % path) from None
-    tokens = {cells[0] for _, cells in lines}
+    tokens = frozenset(cells[0] for _, cells in lines)
     if not tokens:
         raise FormatError("%s: lexicon holds no tokens" % path)
-    return Lexicon(frozenset(tokens), min_count)
+    return tokens
 
 
-def lexicon_score(sentence: str, lexicon: Lexicon) -> float:
+def lexicon_score(sentence: str, lexicon: frozenset[str]) -> float:
     """Fraction of the sentence's tokens not found in the lexicon."""
     tokens = textnorm.tokenize(textnorm.normalize(sentence))
     if not tokens:
         raise FormatError("cannot score an empty sentence")
-    known = lexicon.tokens
-    oov = sum(1 for t in tokens if t not in known)
+    oov = sum(1 for t in tokens if t not in lexicon)
     return oov / len(tokens)
 
 
@@ -157,29 +147,20 @@ def cmi_score(tags: Sequence[str]) -> float:
 def read_token_tag_file(path: str | Path) -> list[list[tuple[str, str]]]:
     """Parse 'token TAB tag' lines, blank line between sentences."""
     sentences: list[list[tuple[str, str]]] = []
-    current: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                if current:
-                    sentences.append(current)
-                    current = []
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(
-                    "%s: line %d must be 'token<TAB>tag'" % (path, lineno)
-                )
-            token, raw_tag = parts
-            tag = _TAG_ALIASES.get(raw_tag.strip().lower())
-            if tag is None:
-                raise FormatError(
-                    "%s: line %d has unknown tag %r" % (path, lineno, raw_tag)
-                )
-            current.append((token, tag))
-    if current:
-        sentences.append(current)
+    previous = -1  # the line number of the last tag line; line 1 opens a sentence
+    for lineno, cells in numbered_cells(path):
+        if not "".join(cells).strip():
+            continue  # a whitespace-only line is blank too
+        if len(cells) != 2:
+            raise FormatError("%s: line %d must be 'token<TAB>tag'" % (path, lineno))
+        token, raw_tag = cells
+        tag = _TAG_ALIASES.get(raw_tag.strip().lower())
+        if tag is None:
+            raise FormatError("%s: line %d has unknown tag %r" % (path, lineno, raw_tag))
+        if lineno != previous + 1:  # a blank line came before: a new sentence
+            sentences.append([])
+        sentences[-1].append((token, tag))
+        previous = lineno
     return sentences
 
 
@@ -353,14 +334,19 @@ def _score_batches(
 # Uniform batch interface used by the series/contrastive drivers
 
 
-class LexiconEstimator:
+class LexiconEstimator(NamedTuple):
+    lexicon: frozenset[str]
     estimator_id = "lexicon"
 
-    def __init__(self, lexicon: Lexicon):
-        self.lexicon = lexicon
-
     def score_many(self, sentences: Sequence[str]) -> list[float]:
-        return [_clip(lexicon_score(s, self.lexicon)) for s in sentences]
+        """Scores in order; an empty sentence is named by its 1-based ordinal."""
+        scores = []
+        for i, sentence in enumerate(sentences, start=1):
+            try:
+                scores.append(lexicon_score(sentence, self.lexicon))
+            except FormatError:
+                raise FormatError("sentence %d is empty" % i) from None
+        return scores
 
 
 # positional estimator id -> (score of one item, plural noun for the items)
@@ -370,13 +356,12 @@ _POSITIONAL = {
 }
 
 
-class PositionalEstimator:
+class PositionalEstimator(NamedTuple):
     """Positional adapter: item i (a DI label or a tag sequence) belongs to
     sentence i, and the sentence text itself is not read."""
 
-    def __init__(self, estimator_id: str, items: Sequence):
-        self.estimator_id = estimator_id
-        self.items = list(items)
+    estimator_id: str
+    items: Sequence
 
     def score_many(self, sentences: Sequence[str]) -> list[float]:
         score, noun = _POSITIONAL[self.estimator_id]
@@ -384,21 +369,14 @@ class PositionalEstimator:
             raise FormatError(
                 "have %d %s for %d sentences" % (len(self.items), noun, len(sentences))
             )
-        return [_clip(score(item)) for item in self.items]
+        return [score(item) for item in self.items]
 
 
-class ExternalEstimator:
+class ExternalEstimator(NamedTuple):
+    command: Sequence[str]
+    batch_size: int | None = None
+    timeout: float | None = None
     estimator_id = "external"
-
-    def __init__(
-        self,
-        command: Sequence[str],
-        batch_size: int | None = None,
-        timeout: float | None = None,
-    ):
-        self.command = command
-        self.batch_size = batch_size
-        self.timeout = timeout
 
     def score_many(self, sentences: Sequence[str]) -> list[float]:
         return external_score(sentences, self.command, self.batch_size, self.timeout)

@@ -1,17 +1,17 @@
 """Score-quality evaluation: RMSE, discrimination, contrastive feature pairs.
 
-Everything here is pure over immutable inputs. The discrimination measure
-divides the absolute mean difference of two score populations by their
-pooled standard deviation; sample variance (n-1) is the default with a
-population-variance switch, since the convention is not pinned down
-anywhere authoritative.
+Everything here but ``read_pairs_file``, which reads a file, is pure over
+immutable inputs. The discrimination measure divides the absolute mean
+difference of two score populations by their pooled standard deviation;
+sample variance (n-1) is the default with a population-variance switch,
+since the convention is not pinned down anywhere authoritative.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import AldiError, FormatError, check_width, numbered_cells
 
@@ -169,18 +169,10 @@ def _gender_key(gender: str) -> tuple[int, str]:
     return (_GENDER_ORDER.get(gender, 2), gender)
 
 
-def _collapse(by_gender: dict[str, float], fmt: Callable[[float], str]) -> str:
-    genders = sorted(by_gender, key=_gender_key)
-    rendered = [fmt(by_gender[g]) for g in genders]
-    if len(set(rendered)) == 1:
-        return rendered[0]
-    return " / ".join(rendered)
-
-
-def render_matrix_tsv(
-    rows: Sequence[ContrastiveRow], fmt: Callable[[float], str]
-) -> str:
+def render_matrix_tsv(rows: Sequence[ContrastiveRow]) -> str:
     """Feature x estimator table; masculine/feminine collapsed when equal."""
+    from .estimators import format_score  # here, so that evaluate does not load it
+
     estimator_ids = sorted({eid for row in rows for eid in row.scores})
     header = ["feature_id", "word_order"]
     for eid in estimator_ids:
@@ -192,9 +184,11 @@ def render_matrix_tsv(
         for eid in estimator_ids:
             by_variant = row.scores.get(eid, {})
             for variant in VARIANTS:
-                cells.append(
-                    _collapse(by_variant[variant], fmt) if variant in by_variant else ""
-                )
+                by_gender = by_variant.get(variant, {})
+                rendered = [
+                    format_score(by_gender[g]) for g in sorted(by_gender, key=_gender_key)
+                ]
+                cells.append(" / ".join(rendered if len(set(rendered)) > 1 else rendered[:1]))
         cells.append(",".join(sorted(row.flagged)))
         lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"

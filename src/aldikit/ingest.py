@@ -85,6 +85,13 @@ KIND_ALIASES = {
     "cntrl": "control",
 }
 
+# native_speaker answers -> their rows-file cell ("" for no answer)
+NATIVE_ALIASES = {
+    **dict.fromkeys(("", "na", "n/a", "none"), ""),
+    **dict.fromkeys(("yes", "y", "true", "1"), "yes"),
+    **dict.fromkeys(("no", "n", "false", "0"), "no"),
+}
+
 
 class AnnotationRow(NamedTuple):
     """One annotation: the annotation-row file's columns, in order, held as
@@ -132,7 +139,9 @@ class ColumnMapConfig:
     The map is resolved and checked once, at load: each field becomes a column
     index or a constant string (``""`` if absent; a block without ``source``
     takes the top-level one). A bad reference, a ``level_aliases`` target
-    outside ``LEVELS``, a constant that its alias table rejects, a missing or
+    outside ``LEVELS``, a constant that holds a tab, ``\\n`` or ``\\r`` (it
+    would split its rows-file line), a source, label, kind or
+    ``native_speaker`` constant that its alias table rejects, a missing or
     empty ``worker_id``, a ``columns`` below the largest index, or a JSON value
     of the wrong type raises FormatError here, not on every line. Unknown keys
     are ignored.
@@ -161,8 +170,12 @@ class ColumnMapConfig:
             _resolve(raw.get(f), repr(f))
             for f in ("worker_id", "residence", "native_speaker", "best_dialect")
         )
-        if self.annotator[0] == "":
+        worker_id, _, native, _ = self.annotator
+        if worker_id == "":
             raise FormatError("column map field 'worker_id' is missing or empty")
+        if isinstance(native, str) and native.strip().lower() not in NATIVE_ALIASES:
+            raise FormatError("column map field 'native_speaker' has unknown value %r"
+                              % native)
         self.blocks = []
         for i, block in enumerate(sentences):
             if not isinstance(block, dict):
@@ -225,7 +238,11 @@ def _resolve(ref, field: str) -> int | str:
         return ""
     if isinstance(ref, dict):
         if "value" in ref:
-            return str(ref["value"])
+            value = str(ref["value"])
+            if text_cell(value) != value:
+                raise FormatError("column map field %s has a tab or line break in its "
+                                  "constant %r" % (field, value))
+            return value
         ref = ref.get("column")
     if isinstance(ref, int) and not isinstance(ref, bool) and ref >= 0:
         return ref
@@ -247,13 +264,9 @@ def parse_label(token: str, aliases: dict[str, str], what: str, lineno: int) -> 
 
 def _parse_native(token: str, lineno: int) -> str:
     token = token.strip().lower()
-    if token in ("", "na", "n/a", "none"):
-        return ""
-    if token in ("yes", "y", "true", "1"):
-        return "yes"
-    if token in ("no", "n", "false", "0"):
-        return "no"
-    raise FormatError("line %d: unknown native_speaker value %r" % (lineno, token))
+    if token not in NATIVE_ALIASES:
+        raise FormatError("line %d: unknown native_speaker value %r" % (lineno, token))
+    return NATIVE_ALIASES[token]
 
 
 def _parse_hit_line(

@@ -12,10 +12,11 @@ import io
 import warnings
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import textnorm
 from .errors import FormatError
+from .estimators import format_score
 from .manifest import write_output
 
 _SKIP_CONTENT = ("script", "style")
@@ -145,14 +146,12 @@ def score_series(
     return ScoreSeries(document_id, estimator.estimator_id, points)
 
 
-def write_series_csv(
-    series: ScoreSeries, path: str | Path, score_fmt: Callable[[float], str]
-) -> None:
-    """One CSV row per point; ``score_fmt`` renders each score."""
+def write_series_csv(series: ScoreSeries, path: str | Path) -> None:
+    """One CSV row per point, each score written by ``format_score``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index", "score", "di_label", "sentence"])
     writer.writerows(
-        [p.index, score_fmt(p.aldi), p.di_label or "", p.sentence] for p in series.points
+        [p.index, format_score(p.aldi), p.di_label or "", p.sentence] for p in series.points
     )
     write_output(path, [buf.getvalue()])

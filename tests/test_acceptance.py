@@ -23,7 +23,6 @@ from aldikit import cli, dataset, pipeline
 from aldikit.agreement import fleiss_kappa, krippendorff_alpha_interval
 from aldikit.dataset import CommentGroup, aggregate, format_thirds
 from aldikit.estimators import (
-    Lexicon,
     LexiconEstimator,
     build_lexicon,
     cmi_score,
@@ -267,8 +266,8 @@ def test_criterion_5_property_suite():
             )
             small_set = frozenset(rng.sample(vocab, rng.randrange(0, 25)))
             grown_set = small_set | frozenset(rng.sample(vocab, rng.randrange(0, 25)))
-            assert lexicon_score(sentence, Lexicon(grown_set, 1)) <= lexicon_score(
-                sentence, Lexicon(small_set, 1)
+            assert lexicon_score(sentence, grown_set) <= lexicon_score(
+                sentence, small_set
             )
 
         # (e) CMI permutation/padding invariance on 200 random sequences

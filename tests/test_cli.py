@@ -13,8 +13,9 @@ import pytest
 from aldikit import cli, estimators, ingest, pipeline
 from aldikit import dataset as dataset_mod
 from aldikit.errors import FormatError
-from aldikit.evaluation import read_pairs_file
+from aldikit.evaluation import ContrastiveRow, read_pairs_file, render_matrix_tsv
 from aldikit.pipeline import read_score_file, run_build_dataset, run_ingest
+from aldikit.speech import ScoreSeries, SeriesPoint, write_series_csv
 
 from conftest import make_hit_line, make_row, write_rows_file
 
@@ -117,6 +118,30 @@ def test_ingest_column_map_fault_exits_2_at_load(
     assert run(argv + (["--lenient"] if lenient else [])) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("residence", "Amman\tJO", "field 'residence' has a tab or line break"),
+     ("native_speaker", "maybe", "field 'native_speaker' has unknown value 'maybe'")],
+    ids=["residence-tab", "native-maybe"],
+)
+def test_ingest_refuses_a_constant_its_rows_file_cannot_hold(
+    hit_file, tmp_path, capsys, field, value, message, lenient
+):
+    # Accepted at load, the tab split every rows-file line and "maybe" was
+    # refused on each HIT line, which --lenient skipped down to a header.
+    raw = json.loads((DATA_DIR / "aoc_column_map.json").read_text(encoding="utf-8"))
+    raw[field] = {"value": value}
+    cmap = tmp_path / "m.json"
+    cmap.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "rows.tsv"
+    argv = ["ingest", hit_file, "--column-map", cmap, "-o", out]
+    assert run(argv + (["--lenient"] if lenient else [])) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "rows.tsv.manifest.json").exists()
 
 
 def test_ingest_structural_error_strict_vs_lenient(tmp_path, capsys):
@@ -402,6 +427,49 @@ def test_build_lexicon_and_score(tmp_path, capsys):
     lines = scores.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "1\t0.500000"
     assert lines[1] == "2\t0.000000"
+
+
+def test_score_names_an_empty_sentence_by_its_score_id(tmp_path, capsys):
+    sentences = tmp_path / "s.txt"
+    # line 3 holds only tatweel, which normalizes away; blank line 2 gets no id
+    sentences.write_text("الحقيقة\n\n\u0640\u0640\n", encoding="utf-8")
+    argv = ["score", "--estimator", "lexicon", "--lexicon",
+            DATA_DIR / "contrastive_lexicon.txt", "--sentences", sentences]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: sentence 2 is empty\n"
+
+
+def test_every_score_writer_writes_format_score(tmp_path, capsys):
+    rng = random.Random(23)
+    ties = [0.2500005, 0.2500015, 0.0000005, 0.9999995, 0.1234565]
+    thirds = [k / (3 * n) for n in range(1, 8) for k in range(3 * n + 1)]
+    values = [0.0, 1.0, *ties, *thirds, *(rng.random() for _ in range(200))]
+    expected = [estimators.format_score(v) for v in values]
+
+    series = ScoreSeries("doc", "lexicon", tuple(
+        SeriesPoint(i, "جملة", v) for i, v in enumerate(values, start=1)
+    ))
+    write_series_csv(series, tmp_path / "series.csv")
+    lines = (tmp_path / "series.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == expected
+
+    rows = []
+    for i, v in enumerate(values):
+        rows.append(ContrastiveRow("F%d" % i, "VSO"))
+        rows[-1].scores["lexicon"] = {"MSA": {"masc": v}, "EGY": {"fem": v}}
+    lines = render_matrix_tsv(rows).splitlines()
+    assert [line.split("\t")[2:4] for line in lines[1:]] == [[c, c] for c in expected]
+
+    # an external scorer that echoes each sentence, here the float's repr
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("".join(repr(v) + "\n" for v in values), encoding="utf-8")
+    echo = '%s -c "import sys; sys.stdout.write(sys.stdin.read())"' % sys.executable
+    out = tmp_path / "scores.tsv"
+    argv = ["score", "--estimator", "external", "--scorer-cmd", echo,
+            "--sentences", sentences, "-o", out]
+    assert run(argv) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines == ["%d\t%s" % (i, c) for i, c in enumerate(expected, start=1)]
 
 
 def test_empty_lexicon_exits_2_and_is_not_scored(tmp_path, monkeypatch, capsys):

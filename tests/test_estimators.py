@@ -8,7 +8,6 @@ import pytest
 from aldikit import estimators
 from aldikit.errors import FormatError, ProtocolError
 from aldikit.estimators import (
-    Lexicon,
     LexiconEstimator,
     PositionalEstimator,
     binary_di_score,
@@ -32,13 +31,13 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "aldikit" / "data"
 
 def test_build_lexicon_threshold_two():
     lex, counts = build_lexicon(["a b a"], min_occurrences=2)
-    assert lex.tokens == frozenset({"a"})
+    assert lex == frozenset({"a"})
     assert counts["b"] == 1
 
 
 def test_build_lexicon_threshold_one():
     lex, _ = build_lexicon(["a b a"], min_occurrences=1)
-    assert lex.tokens == frozenset({"a", "b"})
+    assert lex == frozenset({"a", "b"})
 
 
 @pytest.mark.parametrize(
@@ -87,7 +86,7 @@ def test_build_lexicon_counts_match_token_oracle_random():
             continue
         lex, counts = build_lexicon(lines, min_occurrences=1)
         assert counts == expected
-        assert lex.tokens == frozenset(expected)
+        assert lex == frozenset(expected)
 
 
 def test_build_lexicon_normalizes_tokens():
@@ -98,10 +97,8 @@ def test_build_lexicon_normalizes_tokens():
 def test_lexicon_roundtrip(tmp_path):
     lex, _ = build_lexicon(["a b a c c"], min_occurrences=2)
     path = tmp_path / "lex.txt"
-    save_lexicon(lex, path)
-    loaded = load_lexicon(path)
-    assert loaded.tokens == lex.tokens
-    assert loaded.min_count == 2
+    save_lexicon(lex, 2, path)
+    assert load_lexicon(path) == lex
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == ["#aldi-lexicon v1 min_count=2", "a", "c"]
     # a lexicon built elsewhere may carry a count after each token
@@ -109,8 +106,7 @@ def test_lexicon_roundtrip(tmp_path):
     with_counts.write_text(
         "#aldi-lexicon v1 min_count=2\na\t2\nc\t2\n", encoding="utf-8"
     )
-    from_counts = load_lexicon(with_counts)
-    assert (from_counts.tokens, from_counts.min_count) == (lex.tokens, 2)
+    assert load_lexicon(with_counts) == lex
 
 
 def test_load_lexicon_rejects_header_only_file(tmp_path):
@@ -127,22 +123,30 @@ def test_load_lexicon_rejects_other_files(tmp_path):
         load_lexicon(path)
 
 
+def test_load_lexicon_rejects_an_unreadable_min_count(tmp_path):
+    path = tmp_path / "lex.txt"
+    path.write_text("#aldi-lexicon v1 min_count=abc\na\n", encoding="utf-8")
+    with pytest.raises(FormatError) as excinfo:
+        load_lexicon(path)
+    assert str(excinfo.value) == "%s: unreadable min_count" % path
+
+
 def test_lexicon_score_fraction():
-    lex = Lexicon(frozenset({"a", "b", "c"}), 1)
+    lex = frozenset({"a", "b", "c"})
     assert lexicon_score("a b c x", lex) == 0.25
     assert lexicon_score("a b", lex) == 0.0
     assert lexicon_score("x y", lex) == 1.0
 
 
 def test_lexicon_score_empty_sentence_errors():
-    lex = Lexicon(frozenset({"a"}), 1)
+    lex = frozenset({"a"})
     with pytest.raises(FormatError, match="empty"):
         lexicon_score("   ", lex)
 
 
 def test_lexicon_score_passive_pair():
     # feature pair scored against a lexicon missing only the dialectal verb
-    lex = Lexicon(frozenset({"قيلت", "الحقيقة"}), 1)
+    lex = frozenset({"قيلت", "الحقيقة"})
     assert lexicon_score("اتقالت الحقيقة", lex) == 0.5
     assert lexicon_score("قيلت الحقيقة", lex) == 0.0
 
@@ -154,9 +158,7 @@ def test_lexicon_score_antitone_under_growth():
         sentence = " ".join(rng.choice(vocab) for _ in range(rng.randrange(1, 12)))
         small_tokens = frozenset(rng.sample(vocab, rng.randrange(0, 20)))
         grown = small_tokens | frozenset(rng.sample(vocab, rng.randrange(0, 20)))
-        small = Lexicon(small_tokens, 1)
-        large = Lexicon(grown, 1)
-        assert lexicon_score(sentence, large) <= lexicon_score(sentence, small)
+        assert lexicon_score(sentence, grown) <= lexicon_score(sentence, small_tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +217,38 @@ def test_read_token_tag_file(tmp_path):
     assert len(sentences) == 2
     assert [tag for _, tag in sentences[0]] == ["EGY", "EGY", "MSA"]
     assert [tag for _, tag in sentences[1]] == ["NamedEntity", "MSA"]
+
+
+def test_read_token_tag_file_matches_an_oracle_random(tmp_path):
+    """Runs of blank or whitespace-only lines end a sentence, with any line
+    end; a broken line is named by its number in the file."""
+    rng = random.Random("token-tags")
+    aliases = sorted(estimators._TAG_ALIASES.items())
+    path = tmp_path / "tags.tsv"
+    for case in range(150):
+        expected, out = [], []
+        for _ in range(rng.randrange(0, 6)):
+            gap = rng.randrange(1 if out else 0, 4)
+            out += [rng.choice(["", " ", "\t", " \t "]) for _ in range(gap)]
+            expected.append([])
+            for _ in range(rng.randrange(1, 5)):
+                alias, tag = rng.choice(aliases)
+                token = rng.choice(["كلمة", "x", " y ", ""])
+                out.append(token + "\t" + rng.choice([alias, alias.upper(), " %s " % alias]))
+                expected[-1].append((token, tag))
+        end = rng.choice(["\n", "\r\n", "\r"])
+        path.write_bytes((end.join(out) + rng.choice(["", end])).encode("utf-8"))
+        assert read_token_tag_file(path) == expected, case
+        if expected:
+            j = rng.choice([j for j, line in enumerate(out) if line.strip()])
+            out[j], message = rng.choice([
+                ("a\tMSA\tx", "must be 'token<TAB>tag'"), ("a", "must be 'token<TAB>tag'"),
+                ("a\tBOGUS", "has unknown tag 'BOGUS'"),
+            ])
+            path.write_bytes(end.join(out).encode("utf-8"))
+            with pytest.raises(FormatError) as excinfo:
+                read_token_tag_file(path)
+            assert str(excinfo.value) == "%s: line %d %s" % (path, j + 1, message)
 
 
 def test_read_token_tag_file_errors(tmp_path):
@@ -292,7 +326,7 @@ def test_external_batching_preserves_order():
 
 def test_estimator_outputs_in_range_random():
     rng = random.Random(8)
-    lex = Lexicon(frozenset({"كلمة%d" % i for i in range(10)}), 1)
+    lex = frozenset({"كلمة%d" % i for i in range(10)})
     est = LexiconEstimator(lex)
     sentences = [
         " ".join("كلمة%d" % rng.randrange(20) for _ in range(rng.randrange(1, 8)))

@@ -190,7 +190,7 @@ def test_render_matrix_collapses_genders():
         ContrastivePair("F1", "EGY", "VSO", "fem", "الحقيقة اتقالت"),
     ]
     rows = contrastive_matrix(pairs, [fixture_estimator()])
-    text = render_matrix_tsv(rows, lambda v: "%.2f" % v)
+    text = render_matrix_tsv(rows)
     line = text.splitlines()[1].split("\t")
-    assert line[2] == "0.00"  # masc == fem, collapsed
-    assert line[3] == "1.00 / 0.50"  # masc / fem kept apart
+    assert line[2] == "0.000000"  # masc == fem, collapsed
+    assert line[3] == "1.000000 / 0.500000"  # masc / fem kept apart

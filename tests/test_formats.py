@@ -246,15 +246,10 @@ def _lexicon_valid(rng):
     tokens = [_text(rng, low=1) for _ in range(rng.randrange(2, 25))]
     lines = [t + rng.choice(["", "\t%d" % rng.randrange(1, 99)]) for t in tokens]
     header = "%s min_count=%d" % (estimators.LEXICON_MAGIC, min_count)
-    return [header], lines, (frozenset(tokens), min_count)
+    return [header], lines, frozenset(tokens)
 
 
-def _read_lexicon(path):
-    lexicon = estimators.load_lexicon(path)
-    return lexicon.tokens, lexicon.min_count
-
-
-LEXICON = Format(_lexicon_valid, _read_lexicon, {})  # its lines hold no fault
+LEXICON = Format(_lexicon_valid, estimators.load_lexicon, {})  # its lines hold no fault
 
 
 # --- annotation rows ----------------------------------------------------------

@@ -302,10 +302,13 @@ def _default_map() -> dict:
         ({"kind": {"value": " control"}}, "unknown kind ' control'"),
         (7, "sentence block 0 must be an object, got 7"),
         (["text", 8], "sentence block 0 must be an object, got ['text', 8]"),
+        ({"article_id": {"value": "a\tb"}},
+         "field 'article_id' of sentence block 0 has a tab or line break in its "
+         "constant 'a\\tb'"),
     ],
     ids=["text-str", "text-bool", "text-negative", "text-float", "column-str",
          "empty-ref", "source-const", "source-null", "level-const", "dialect-const",
-         "kind-const", "block-int", "block-list"],
+         "kind-const", "block-int", "block-list", "article-tab-const"],
 )
 def test_column_map_block_faults_raise_at_load(edit, message):
     """``edit`` is merged into sentence block 0, or replaces it if not a dict."""
@@ -334,11 +337,20 @@ def test_column_map_block_faults_raise_at_load(edit, message):
         ({"worker_id": None}, "field 'worker_id' is missing or empty"),
         ([], "column map must be a JSON object, got []"),
         ("map", "column map must be a JSON object, got 'map'"),
+        ({"residence": {"value": "Amman\tJO"}},
+         "field 'residence' has a tab or line break in its constant 'Amman\\tJO'"),
+        ({"worker_id": {"value": "w\n1"}},
+         "field 'worker_id' has a tab or line break in its constant 'w\\n1'"),
+        ({"worker_id": {"value": "w1\r"}},
+         "field 'worker_id' has a tab or line break in its constant 'w1\\r'"),
+        ({"native_speaker": {"value": "maybe"}},
+         "field 'native_speaker' has unknown value 'maybe'"),
     ],
     ids=["worker-bool", "residence-str", "alias-bogus", "alias-lowercase",
          "columns-str", "columns-bool", "columns-too-few", "columns-float",
          "aliases-list", "aliases-null", "worker-empty-const", "worker-null",
-         "map-list", "map-str"],
+         "map-list", "map-str", "residence-tab-const", "worker-newline-const",
+         "worker-cr-const", "native-const"],
 )
 def test_column_map_top_level_faults_raise_at_load(edit, message):
     """``edit`` is merged into the default map, or replaces it if not a dict."""

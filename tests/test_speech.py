@@ -6,8 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from aldikit.errors import FormatError
-from aldikit.estimators import format_score
-from aldikit.estimators import Lexicon, LexiconEstimator
+from aldikit.estimators import LexiconEstimator
 from aldikit.speech import ScoreSeries, SeriesPoint, score_series, segment_html, write_series_csv
 from aldikit.textnorm import normalize
 from aldikit.svgplot import HEIGHT, MARGIN_BOTTOM, MARGIN_TOP, plot_coordinates, render_svg
@@ -109,7 +108,7 @@ def test_segment_html_fuzz_raises_only_format_error():
 
 
 def full_lexicon():
-    return Lexicon(frozenset({"صفر", "نص", "واحد"}), 1)
+    return frozenset({"صفر", "نص", "واحد"})
 
 
 def test_score_series_order_and_length():
@@ -140,7 +139,7 @@ def test_write_series_csv(tmp_path):
         "doc", "lexicon", (SeriesPoint(1, "جملة", 0.5, "EGY"),)
     )
     out = tmp_path / "series.csv"
-    write_series_csv(series, out, format_score)
+    write_series_csv(series, out)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "index,score,di_label,sentence"
     assert lines[1] == "1,0.500000,EGY,جملة"
