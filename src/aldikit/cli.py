@@ -201,9 +201,8 @@ def _cmd_score(args):
         rows = read_dataset_file(args.from_dataset, ("text",))
         sentences = [text for (text,) in rows]
         source_path = args.from_dataset
-    elif args.estimator == "cmi" and args.tags:
-        sequences = est_mod.read_token_tag_file(args.tags)
-        sentences = [" ".join(tok for tok, _ in seq) for seq in sequences]
+    elif args.estimator == "cmi":  # cmi reads no text: count its tag sequences
+        sentences = estimator.items
         source_path = args.tags
     else:
         raise FormatError("score needs --sentences or --from-dataset")
@@ -293,17 +292,7 @@ def _cmd_contrastive(args):
         raise FormatError("%s contains no pairs" % args.pairs_file)
     rows = eval_mod.contrastive_matrix(pairs, estimators)
     table = eval_mod.render_matrix_tsv(rows)
-    payload = {
-        "rows": [
-            {
-                "feature_id": row.feature_id,
-                "word_order": row.word_order,
-                "scores": row.scores,
-                "flagged": sorted(row.flagged),
-            }
-            for row in rows
-        ]
-    }
+    payload = {"rows": rows}
     if not args.output:
         return payload, table
     stamp = timestamp()

@@ -90,75 +90,79 @@ class ContrastivePair(NamedTuple):
     text: str
 
 
-class ContrastiveRow:
-    def __init__(self, feature_id: str, word_order: str):
-        self.feature_id = feature_id
-        self.word_order = word_order
-        # estimator id -> variant -> gender -> score
-        self.scores: dict[str, dict[str, dict[str, float]]] = {}
-        self.flagged: set[str] = set()
-
-
 PAIRS_HEADER = ("feature_id", "variant", "word_order", "gender", "text")
 
 
 def read_pairs_file(path: str | Path) -> list[ContrastivePair]:
+    """The pairs in file order. A line is refused, by its number in the file,
+    for a wrong width or variant, a text that normalizes to nothing, or a
+    repeat of an earlier line's (feature_id, variant, word_order, gender)."""
+    from .textnorm import normalize  # here, so that evaluate does not load it
+
     pairs = []
+    first_line: dict[tuple[str, ...], int] = {}
     for lineno, cells in numbered_cells(path):
         if lineno == 1 and tuple(cells) == PAIRS_HEADER:
             continue
         check_width(path, lineno, cells, len(PAIRS_HEADER))
-        feature_id, variant, word_order, gender, text = cells
-        if variant not in VARIANTS:
+        pair = ContrastivePair(*cells)
+        if pair.variant not in VARIANTS:
             raise FormatError(
-                "%s: line %d has unknown variant %r" % (path, lineno, variant)
+                "%s: line %d has unknown variant %r" % (path, lineno, pair.variant)
             )
-        pairs.append(ContrastivePair(feature_id, variant, word_order, gender, text))
+        if not normalize(pair.text):
+            raise FormatError("%s: line %d has an empty text" % (path, lineno))
+        earlier = first_line.setdefault(pair[:4], lineno)
+        if earlier != lineno:
+            raise FormatError("%s: line %d repeats line %d" % (path, lineno, earlier))
+        pairs.append(pair)
     return pairs
 
 
-def contrastive_matrix(
-    pairs: Sequence[ContrastivePair], estimators: Sequence
-) -> list[ContrastiveRow]:
+def contrastive_matrix(pairs: Sequence[ContrastivePair], estimators: Sequence) -> list[dict]:
     """Score every pair text with every estimator, Table-style rows.
 
-    Rows are keyed by (feature_id, word_order); each must carry both an MSA
-    and an EGY variant. An estimator is flagged on a row when it scores the
+    A row is the object that ``contrastive --json`` prints, one per
+    (feature_id, word_order): ``{"feature_id", "word_order", "scores":
+    {estimator id: {variant: {gender: score}}}, "flagged": [sorted ids]}``.
+    Each must carry both an MSA and an EGY variant, which is checked before
+    any estimator runs. An estimator is flagged on a row when it scores the
     MSA variant at or above the EGY variant for any gender present on both
-    sides (a dialectness estimator must separate them the other way).
+    sides, or on average if none is (a dialectness estimator must separate
+    them the other way).
     """
-    texts = [p.text for p in pairs]
-    rows: dict[tuple[str, str], ContrastiveRow] = {}
+    variants: dict[tuple[str, str], set[str]] = {}
     for p in pairs:
-        key = (p.feature_id, p.word_order)
-        if key not in rows:
-            rows[key] = ContrastiveRow(p.feature_id, p.word_order)
+        variants.setdefault((p.feature_id, p.word_order), set()).add(p.variant)
+    for (feature_id, word_order), present in variants.items():
+        for variant in VARIANTS:
+            if variant not in present:
+                raise FormatError(
+                    "feature %s (%s) is missing its %s variant"
+                    % (feature_id, word_order, variant)
+                )
+    rows = {k: {"feature_id": k[0], "word_order": k[1], "scores": {}, "flagged": []}
+            for k in variants}
 
+    texts = [p.text for p in pairs]
     for estimator in estimators:
         scores = estimator.score_many(texts)
         for p, score in zip(pairs, scores):
-            row = rows[(p.feature_id, p.word_order)]
-            row.scores.setdefault(estimator.estimator_id, {}).setdefault(
-                p.variant, {}
-            )[p.gender] = score
+            by_variant = rows[p.feature_id, p.word_order]["scores"].setdefault(
+                estimator.estimator_id, {})
+            by_variant.setdefault(p.variant, {})[p.gender] = score
 
     for row in rows.values():
-        for estimator_id, by_variant in row.scores.items():
-            for variant in VARIANTS:
-                if variant not in by_variant:
-                    raise FormatError(
-                        "feature %s (%s) is missing its %s variant"
-                        % (row.feature_id, row.word_order, variant)
-                    )
+        for estimator_id, by_variant in row["scores"].items():
             msa, egy = by_variant["MSA"], by_variant["EGY"]
-            common = sorted(set(msa) & set(egy))
+            common = set(msa) & set(egy)
             if common:
-                if any(msa[g] >= egy[g] for g in common):
-                    row.flagged.add(estimator_id)
+                flagged = any(msa[g] >= egy[g] for g in common)
             else:
-                mean = lambda d: sum(d.values()) / len(d)
-                if mean(msa) >= mean(egy):
-                    row.flagged.add(estimator_id)
+                flagged = sum(msa.values()) / len(msa) >= sum(egy.values()) / len(egy)
+            if flagged:
+                row["flagged"].append(estimator_id)
+        row["flagged"].sort()
     return list(rows.values())
 
 
@@ -169,26 +173,27 @@ def _gender_key(gender: str) -> tuple[int, str]:
     return (_GENDER_ORDER.get(gender, 2), gender)
 
 
-def render_matrix_tsv(rows: Sequence[ContrastiveRow]) -> str:
-    """Feature x estimator table; masculine/feminine collapsed when equal."""
+def render_matrix_tsv(rows: Sequence[dict]) -> str:
+    """Feature x estimator table of ``contrastive_matrix`` rows; masculine
+    and feminine collapsed when equal."""
     from .estimators import format_score  # here, so that evaluate does not load it
 
-    estimator_ids = sorted({eid for row in rows for eid in row.scores})
+    estimator_ids = sorted({eid for row in rows for eid in row["scores"]})
     header = ["feature_id", "word_order"]
     for eid in estimator_ids:
         header += ["%s:MSA" % eid, "%s:EGY" % eid]
     header.append("flags")
     lines = ["\t".join(header)]
     for row in rows:
-        cells = [row.feature_id, row.word_order]
+        cells = [row["feature_id"], row["word_order"]]
         for eid in estimator_ids:
-            by_variant = row.scores.get(eid, {})
+            by_variant = row["scores"].get(eid, {})
             for variant in VARIANTS:
                 by_gender = by_variant.get(variant, {})
                 rendered = [
                     format_score(by_gender[g]) for g in sorted(by_gender, key=_gender_key)
                 ]
                 cells.append(" / ".join(rendered if len(set(rendered)) > 1 else rendered[:1]))
-        cells.append(",".join(sorted(row.flagged)))
+        cells.append(",".join(row["flagged"]))
         lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"

@@ -81,12 +81,16 @@ def run_build_dataset(
 ) -> dict:
     """Build ``out_dir`` from a rows file, which is read twice: once to count
     the raw keys, and once into the groups. A rows file whose data lines
-    differ in number between the two reads is refused."""
+    differ in number between the two reads is refused. The small splits file,
+    if any, is read before either, so a bad one is refused at once."""
     from . import dataset as dataset_mod
     from . import ingest as ingest_mod
     from .manifest import timestamp, write_manifest, write_output
 
     stamp = timestamp()
+    assignment = (
+        dataset_mod.load_assignment(assignment_path) if assignment_path else None
+    )
     raw_keys, lines = ingest_mod.count_raw_keys(rows_path)
     groups = dataset_mod.group_comments(ingest_mod.read_rows(rows_path))
     if not groups:
@@ -101,9 +105,6 @@ def run_build_dataset(
     for group in discarded:
         group.category = dataset_mod.categorize_discard(group)
 
-    assignment = (
-        dataset_mod.load_assignment(assignment_path) if assignment_path else None
-    )
     dataset_mod.make_splits(kept, seed, assignment)
 
     stats = dataset_mod.corpus_stats(kept, discarded)

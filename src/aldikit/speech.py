@@ -127,9 +127,6 @@ def score_series(
         raise FormatError(
             "have %d DI labels for %d sentences" % (len(di_labels), len(sentences))
         )
-    for i, sentence in enumerate(sentences, start=1):
-        if not textnorm.normalize(sentence):
-            raise FormatError("sentence %d is empty" % i)
     try:
         scores = estimator.score_many(list(sentences))
     except FormatError as exc:

@@ -313,16 +313,16 @@ def test_criterion_6_contrastive_matrix():
             ("F4", "SVO"): Fraction(1, 3),
             ("F5", "VSO"): Fraction(1, 2),
         }
-        assert {(r.feature_id, r.word_order) for r in rows} == set(expected_egy)
+        assert {(r["feature_id"], r["word_order"]) for r in rows} == set(expected_egy)
         for row in rows:
-            cell = row.scores["lexicon"]
-            expected = expected_egy[(row.feature_id, row.word_order)]
+            cell = row["scores"]["lexicon"]
+            expected = expected_egy[(row["feature_id"], row["word_order"])]
             for gender, value in cell["MSA"].items():
-                assert value == Fraction(0), (row.feature_id, gender)
+                assert value == Fraction(0), (row["feature_id"], gender)
             for gender, value in cell["EGY"].items():
                 assert Fraction(value).limit_denominator(6) == expected
                 assert value == expected.numerator / expected.denominator
-            assert "lexicon" not in row.flagged
+            assert "lexicon" not in row["flagged"]
 
 
 def _rows_fixture(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from aldikit import cli, estimators, ingest, pipeline
 from aldikit import dataset as dataset_mod
 from aldikit.errors import FormatError
-from aldikit.evaluation import ContrastiveRow, read_pairs_file, render_matrix_tsv
+from aldikit.evaluation import read_pairs_file, render_matrix_tsv
 from aldikit.pipeline import read_score_file, run_build_dataset, run_ingest
 from aldikit.speech import ScoreSeries, SeriesPoint, write_series_csv
 
@@ -298,6 +298,21 @@ def test_a_refused_build_creates_no_output_directory(tmp_path, capsys, refused):
     assert not (tmp_path / "new").exists()
 
 
+def test_build_dataset_reads_the_splits_file_before_the_rows(tmp_path, monkeypatch, capsys):
+    def unreached(path):
+        raise AssertionError("the rows were read before the splits file")
+
+    monkeypatch.setattr(ingest, "count_raw_keys", unreached)
+    splits = tmp_path / "badsplits.tsv"
+    splits.write_text("AlGhad\tart0\tnope\n", encoding="utf-8")
+    argv = ["build-dataset", tmp_path / "missing-rows.tsv", "--splits", splits]
+    assert run(argv + ["-o", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == (
+        "error: %s: line 1 has unknown split 'nope'\n" % splits
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_internal_value_error_is_not_reported_as_bad_input(tmp_path, monkeypatch):
     def broken(rows_path):
         raise ValueError("internal bug")
@@ -453,10 +468,11 @@ def test_every_score_writer_writes_format_score(tmp_path, capsys):
     lines = (tmp_path / "series.csv").read_text(encoding="utf-8").splitlines()
     assert [line.split(",")[1] for line in lines[1:]] == expected
 
-    rows = []
-    for i, v in enumerate(values):
-        rows.append(ContrastiveRow("F%d" % i, "VSO"))
-        rows[-1].scores["lexicon"] = {"MSA": {"masc": v}, "EGY": {"fem": v}}
+    rows = [
+        {"feature_id": "F%d" % i, "word_order": "VSO", "flagged": [],
+         "scores": {"lexicon": {"MSA": {"masc": v}, "EGY": {"fem": v}}}}
+        for i, v in enumerate(values)
+    ]
     lines = render_matrix_tsv(rows).splitlines()
     assert [line.split("\t")[2:4] for line in lines[1:]] == [[c, c] for c in expected]
 
@@ -530,6 +546,23 @@ def test_score_cmi_from_tags(tmp_path):
     lines = scores.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "1\t0.666667"
     assert lines[1] == "2\t0.000000"
+
+
+def test_score_cmi_reads_its_tag_file_once(tmp_path, monkeypatch):
+    calls = []
+    read = estimators.read_token_tag_file
+
+    def counted(path):
+        calls.append(path)
+        return read(path)
+
+    monkeypatch.setattr(estimators, "read_token_tag_file", counted)
+    tags = tmp_path / "tags.tsv"
+    tags.write_text("انا\tEGY\nالحق\tMSA\n\nهو\tMSA\n", encoding="utf-8")
+    scores = tmp_path / "scores.tsv"
+    assert run(["score", "--estimator", "cmi", "--tags", tags, "-o", scores]) == 0
+    assert len(calls) == 1
+    assert scores.read_text(encoding="utf-8") == "1\t0.500000\n2\t0.000000\n"
 
 
 def test_evaluate_equal_predictions(tmp_path, capsys):
@@ -810,6 +843,20 @@ def test_contrastive_all_estimators(tmp_path, capsys):
         "0.000000", "1.000000", "0.000000", "1.000000",
         "0.125000", "0.125000", "0.000000", "0.500000", "external",
     ]
+
+
+def test_contrastive_refuses_a_missing_variant_before_the_scorer_runs(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    Path("pairs.tsv").write_text("F1\tMSA\tVSO\tmasc\tيقول الولد\n", encoding="utf-8")
+    scorer = (
+        "%s -c \"open('scorer-ran', 'w'); import sys; [print(0) for _ in sys.stdin]\""
+        % sys.executable
+    )
+    assert run(["contrastive", "pairs.tsv", "--scorer-cmd", scorer]) == 2
+    assert capsys.readouterr().err == "error: feature F1 (VSO) is missing its EGY variant\n"
+    assert not Path("scorer-ran").exists()
 
 
 def test_contrastive_requires_estimator(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from aldikit.errors import AldiError, FormatError
 from aldikit.estimators import LexiconEstimator, PositionalEstimator, load_lexicon
 from aldikit.evaluation import (
+    PAIRS_HEADER,
     ContrastivePair,
     ScoredPair,
     contrastive_matrix,
@@ -136,7 +137,7 @@ def fixture_estimator():
 def test_contrastive_fixture_matrix():
     pairs = read_pairs_file(DATA_DIR / "contrastive_pairs_egy.tsv")
     rows = contrastive_matrix(pairs, [fixture_estimator()])
-    by_key = {(r.feature_id, r.word_order): r for r in rows}
+    by_key = {(r["feature_id"], r["word_order"]): r for r in rows}
     for key, egy_expected in [
         (("F1", "VSO"), 1 / 3),
         (("F1", "SVO"), 1 / 3),
@@ -149,10 +150,10 @@ def test_contrastive_fixture_matrix():
         (("F5", "VSO"), 1 / 2),
     ]:
         row = by_key[key]
-        cell = row.scores["lexicon"]
+        cell = row["scores"]["lexicon"]
         assert set(cell["MSA"].values()) == {0.0}, key
         assert set(cell["EGY"].values()) == {egy_expected}, key
-        assert "lexicon" not in row.flagged
+        assert "lexicon" not in row["flagged"]
 
 
 def test_contrastive_binary_di_columns():
@@ -161,7 +162,7 @@ def test_contrastive_binary_di_columns():
         ContrastivePair("F1", "EGY", "VSO", "fem", "جملة عامية"),
     ]
     rows = contrastive_matrix(pairs, [PositionalEstimator("binary-di", ["MSA", "EGY"])])
-    cell = rows[0].scores["binary-di"]
+    cell = rows[0]["scores"]["binary-di"]
     assert cell["MSA"]["fem"] == 0.0
     assert cell["EGY"]["fem"] == 1.0
 
@@ -173,13 +174,47 @@ def test_contrastive_identical_texts_flagged():
     ]
     est = fixture_estimator()
     rows = contrastive_matrix(pairs, [est])
-    assert "lexicon" in rows[0].flagged
+    assert "lexicon" in rows[0]["flagged"]
 
 
 def test_contrastive_missing_variant_errors():
     pairs = [ContrastivePair("F1", "MSA", "VSO", "fem", "جملة")]
     with pytest.raises(FormatError, match="EGY"):
         contrastive_matrix(pairs, [fixture_estimator()])
+
+
+class _RaisingEstimator:
+    estimator_id = "raising"
+
+    def score_many(self, sentences):
+        raise AssertionError("an estimator ran before the pairs were checked")
+
+
+def test_contrastive_missing_variant_is_refused_before_any_estimator_runs():
+    pairs = [
+        ContrastivePair("F1", "MSA", "VSO", "fem", "جملة"),
+        ContrastivePair("F1", "EGY", "VSO", "fem", "جملة"),
+        ContrastivePair("F2", "MSA", "SVO", "masc", "جملة"),
+        ContrastivePair("F3", "EGY", "VSO", "masc", "جملة"),
+    ]
+    with pytest.raises(FormatError) as excinfo:
+        contrastive_matrix(pairs, [_RaisingEstimator()])
+    assert str(excinfo.value) == "feature F2 (SVO) is missing its EGY variant"
+
+
+@pytest.mark.parametrize("line_3, message", [
+    ("F1\tEGY\tVSO\tmasc\t\u0640\u064e ", "line 3 has an empty text"),
+    ("F1\tMSA\tVSO\tmasc\tاتقالت اتقالت", "line 3 repeats line 2"),
+], ids=["empty-text", "repeated"])
+def test_read_pairs_file_names_the_file_line(tmp_path, line_3, message):
+    path = tmp_path / "pairs.tsv"
+    path.write_text(
+        "\t".join(PAIRS_HEADER) + "\nF1\tMSA\tVSO\tmasc\tالحقيقة\n" + line_3 + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(FormatError) as excinfo:
+        read_pairs_file(path)
+    assert str(excinfo.value) == "%s: %s" % (path, message)
 
 
 def test_render_matrix_collapses_genders():

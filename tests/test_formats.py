@@ -207,13 +207,17 @@ ASSIGNMENT = Format(
 
 
 def _pairs_valid(rng):
+    """Pairs with distinct (feature_id, variant, word_order, gender) keys and
+    texts that keep a letter, as read_pairs_file requires."""
     header = rng.choice([[], ["\t".join(evaluation.PAIRS_HEADER)]])
+    keys = [
+        ("f%d" % f, variant, order, gender)
+        for f in range(9) for variant in evaluation.VARIANTS
+        for order in ("SVO", "VSO") for gender in ("masc", "fem", "")
+    ]
     pairs = [
-        evaluation.ContrastivePair(
-            "f%d" % rng.randrange(9), rng.choice(evaluation.VARIANTS),
-            rng.choice(["SVO", "VSO"]), rng.choice(["masc", "fem", ""]), _text(rng),
-        )
-        for _ in range(rng.randrange(2, 25))
+        evaluation.ContrastivePair(*key, _text(rng) + rng.choice("كتبx") + _text(rng))
+        for key in rng.sample(keys, rng.randrange(2, 25))
     ]
     return header, ["\t".join(p) for p in pairs], pairs
 
@@ -231,10 +235,27 @@ def _pairs_unknown_variant(rng, lines):
     return j, "\t".join(cells), "has unknown variant %s$" % re.escape(repr(cells[1]))
 
 
+def _pairs_empty_text(rng, lines):
+    """A text of only whitespace, tashkeel and tatweel, which normalize drops."""
+    j = rng.randrange(len(lines))
+    cells = lines[j].split("\t")
+    cells[4] = "".join(rng.choice(" \x0b\x85\u2028\u064e\u0651\u0640") for _ in range(4))
+    return j, "\t".join(cells), "has an empty text$"
+
+
+def _pairs_repeated(rng, lines):
+    """A later line with an earlier line's key; its own text may differ."""
+    m, j = sorted(rng.sample(range(len(lines)), 2))
+    cells = lines[m].split("\t")
+    cells[4] = rng.choice([cells[4], "x"])
+    return j, "\t".join(cells), r"repeats line \d+$"
+
+
 PAIRS = Format(
     _pairs_valid,
     evaluation.read_pairs_file,
-    {"width": _pairs_width, "unknown-variant": _pairs_unknown_variant},
+    {"width": _pairs_width, "unknown-variant": _pairs_unknown_variant,
+     "empty-text": _pairs_empty_text, "repeated": _pairs_repeated},
 )
 
 
