@@ -31,87 +31,85 @@ EXIT_FORMAT = 2
 EXIT_PROTOCOL = 3
 
 
-def _version_string() -> str:
-    formats = ", ".join("%s=%s" % kv for kv in sorted(FORMAT_VERSIONS.items()))
-    return "aldikit %s (formats: %s)" % (__version__, formats)
-
-
-# --estimator kind -> (the flags that only that kind reads, the first naming
-# its input; factory(estimators module, input, args)); the input is a file,
-# or the scorer command line for "external"
+# --estimator kind -> (each flag that only that kind reads, the first naming
+# its input, with its add_argument keywords; factory(estimators module, input,
+# args)); the input is a file, or the scorer command line for "external"
 _ESTIMATORS = {
-    "lexicon": (("--lexicon",), lambda est, path, _: est.LexiconEstimator(
-        est.load_lexicon(path))),
-    "cmi": (("--tags",), lambda est, path, _: est.PositionalEstimator(
-        "cmi", [[tag for _, tag in s] for s in est.read_token_tag_file(path)])),
-    "binary-di": (("--labels",), lambda est, path, _: est.PositionalEstimator(
-        "binary-di", est.read_label_file(path))),
+    "lexicon": (
+        {"--lexicon": dict(help="lexicon file (lexicon estimator)")},
+        lambda est, path, _: est.LexiconEstimator(est.load_lexicon(path)),
+    ),
+    "cmi": (
+        {"--tags": dict(help="token-tag file, blank-line separated (cmi estimator)")},
+        lambda est, path, _: est.PositionalEstimator(
+            "cmi", [[tag for _, tag in s] for s in est.read_token_tag_file(path)]),
+    ),
+    "binary-di": (
+        {"--labels": dict(help="sentence-DI labels, one per line (binary-di estimator)")},
+        lambda est, path, _: est.PositionalEstimator(
+            "binary-di", est.read_di_labels(path)),
+    ),
     "external": (
-        ("--scorer-cmd", "--batch-size", "--scorer-timeout"),
+        {"--scorer-cmd": dict(help="external scorer command line (external estimator)"),
+         "--batch-size": dict(type=int, help="external scorer batch size"),
+         "--scorer-timeout": dict(type=float, metavar="SECONDS", help="kill an "
+                                  "external scorer that runs longer (default: no limit)")},
         lambda est, command, args: est.ExternalEstimator(
             tuple(shlex.split(command)), args.batch_size, args.scorer_timeout),
     ),
 }
 
 
-def _flag_value(args, flag: str):
-    return getattr(args, flag[2:].replace("-", "_"))
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
-def _estimators(args, kinds) -> list:
-    """The estimators of ``kinds``, in table order; a flag that only another
-    kind reads is refused rather than ignored. ``args.flag_names`` maps a
-    table flag to the name a subcommand declares it under, if another."""
+def _input_flag(kind: str) -> str:
+    return next(iter(_ESTIMATORS[kind][0]))
+
+
+def _add_estimator_flags(parser, renamed: dict | None = None) -> None:
+    """Declare ``--estimator`` and every flag of ``_ESTIMATORS``. A command
+    that passes ``renamed`` (a table flag -> the spelling it declares) has no
+    ``--estimator``: it builds every kind whose input flag is given."""
+    if renamed is None:
+        parser.add_argument("--estimator", required=True, choices=tuple(_ESTIMATORS),
+                            help="which score producer to use")
+    names = {}
+    for flags, _ in _ESTIMATORS.values():
+        for flag, keywords in flags.items():
+            names[flag] = name = (renamed or {}).get(flag, flag)
+            keywords = {"metavar": _dest(name).upper(), **keywords}
+            parser.add_argument(name, dest=_dest(flag), **keywords)
+    parser.set_defaults(estimator=None, flag_names=names)
+
+
+def _estimators(args) -> list:
+    """The kind that ``--estimator`` names or, without it, every kind whose
+    input flag is given, built in table order. A flag that only another kind
+    reads is refused rather than ignored."""
     from . import estimators
 
+    names = args.flag_names
     built = []
     for kind, (flags, factory) in _ESTIMATORS.items():
-        values = [_flag_value(args, flag) for flag in flags]
-        if kind not in kinds:
+        values = [getattr(args, _dest(flag)) for flag in flags]
+        wanted = kind == args.estimator if args.estimator else values[0] is not None
+        if not wanted:
             for flag, value in zip(flags, values):
                 if value is not None:
                     raise FormatError(
-                        "%s applies only to the %s estimator" % (flag, kind)
+                        "%s applies only to the %s estimator" % (names[flag], kind)
                     )
         elif not values[0]:
-            flag = getattr(args, "flag_names", {}).get(flags[0], flags[0])
+            flag = names[_input_flag(kind)]
             raise FormatError("the %s estimator requires %s" % (kind, flag))
         else:
             built.append(factory(estimators, values[0], args))
+    if not built:
+        inputs = "/".join(names[_input_flag(kind)] for kind in _ESTIMATORS)
+        raise FormatError("%s needs at least one of %s" % (args.command, inputs))
     return built
-
-
-def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--batch-size", type=int, default=None, help="external scorer batch size"
-    )
-    parser.add_argument(
-        "--scorer-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill an external scorer process that runs longer (default: no limit)",
-    )
-
-
-def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--estimator",
-        required=True,
-        choices=tuple(_ESTIMATORS),
-        help="which score producer to use",
-    )
-    parser.add_argument("--lexicon", help="lexicon file (estimator=lexicon)")
-    parser.add_argument(
-        "--tags", help="token-tag file, blank-line separated (estimator=cmi)"
-    )
-    parser.add_argument(
-        "--labels", help="sentence-DI label file, one label per line (binary-di)"
-    )
-    parser.add_argument(
-        "--scorer-cmd", help="external scorer command line (estimator=external)"
-    )
-    _add_scorer_flags(parser)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +138,8 @@ def _cmd_build_dataset(args):
     from .pipeline import run_build_dataset
 
     summary = run_build_dataset(
-        args.rows_file,
-        args.output,
-        seed=args.seed,
-        assignment_path=args.splits,
-        command=args.argv,
+        args.rows_file, args.output, seed=42 if args.seed is None else args.seed,
+        assignment_path=args.splits, command=args.argv,
     )
     return summary, (
         "built dataset: %(kept)d kept, %(discarded)d discarded -> %(output_dir)s\n"
@@ -183,8 +178,9 @@ def _cmd_build_lexicon(args):
         "min_count": args.min_count,
         "output": str(args.output),
     }
-    return payload, "lexicon: kept %d of %d distinct tokens (min_count=%d) -> %s\n" % (
-        len(lexicon), len(counts), args.min_count, args.output
+    return payload, (
+        "lexicon: kept %(tokens)d of %(distinct_tokens_seen)d distinct tokens "
+        "(min_count=%(min_count)d) -> %(output)s\n" % payload
     )
 
 
@@ -193,17 +189,15 @@ def _cmd_score(args):
     from .manifest import timestamp, write_output, write_sidecar
     from .pipeline import read_dataset_file
 
-    (estimator,) = _estimators(args, [args.estimator])
-    if args.sentences:
+    (estimator,) = _estimators(args)
+    source_path = args.sentences or args.from_dataset
+    if args.sentences is not None:
         sentences = est_mod.read_label_file(args.sentences)
-        source_path = args.sentences
-    elif args.from_dataset:
-        rows = read_dataset_file(args.from_dataset, ("text",))
-        sentences = [text for (text,) in rows]
-        source_path = args.from_dataset
-    elif args.estimator == "cmi":  # cmi reads no text: count its tag sequences
+    elif args.from_dataset is not None:
+        sentences = [text for (text,) in read_dataset_file(args.from_dataset, ("text",))]
+    elif isinstance(estimator, est_mod.PositionalEstimator):  # it reads no text
         sentences = estimator.items
-        source_path = args.tags
+        source_path = getattr(args, _dest(_input_flag(args.estimator)))
     else:
         raise FormatError("score needs --sentences or --from-dataset")
     if not sentences:
@@ -256,17 +250,13 @@ def _cmd_evaluate(args):
     return report, text
 
 
-def _read_group_scores(path: str) -> list[float]:
-    from .pipeline import read_score_file
-
-    return [v for _, v in sorted(read_score_file(path).items())]
-
-
 def _cmd_dprime(args):
     from .evaluation import d_prime
+    from .pipeline import read_score_file
 
-    group_a = _read_group_scores(args.a)
-    group_b = _read_group_scores(args.b)
+    group_a, group_b = (  # each file's scores in id order
+        [v for _, v in sorted(read_score_file(path).items())] for path in (args.a, args.b)
+    )
     value = d_prime(group_a, group_b, sample_variance=not args.population)
     payload = {
         "d_prime": value,
@@ -281,12 +271,7 @@ def _cmd_contrastive(args):
     from . import evaluation as eval_mod
     from .manifest import timestamp, write_output, write_sidecar
 
-    kinds = [k for k, (f, _) in _ESTIMATORS.items() if _flag_value(args, f[0]) is not None]
-    estimators = _estimators(args, kinds)
-    if not estimators:
-        raise FormatError(
-            "contrastive needs at least one of --lexicon/--di-labels/--tags/--scorer-cmd"
-        )
+    estimators = _estimators(args)
     pairs = eval_mod.read_pairs_file(args.pairs_file)
     if not pairs:
         raise FormatError("%s contains no pairs" % args.pairs_file)
@@ -309,7 +294,7 @@ def _cmd_speech(args):
     from .manifest import timestamp, write_sidecar
     from .svgplot import emit_plot
 
-    (estimator,) = _estimators(args, [args.estimator])
+    (estimator,) = _estimators(args)
     sentences = speech_mod.segment_html_file(args.html_file, args.mode)
     di_labels = read_label_file(args.di_labels) if args.di_labels else None
     document_id = Path(args.html_file).stem
@@ -331,9 +316,7 @@ def _cmd_speech(args):
         "segments": len(series.points),
         "outputs": [str(o) for o in outputs],
     }
-    text = "%s: %d segments scored with %s\n" % (
-        series.document_id, len(series.points), series.estimator_id
-    )
+    text = "%(document_id)s: %(segments)d segments scored with %(estimator)s\n" % payload
     return payload, text + "".join("  wrote %s\n" % out for out in outputs)
 
 
@@ -346,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Build, score, and evaluate Arabic level-of-dialectness data.",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--version", action="version", version=_version_string())
+    formats = ", ".join("%s=%s" % kv for kv in sorted(FORMAT_VERSIONS.items()))
+    version = "aldikit %s (formats: %s)" % (__version__, formats)
+    parser.add_argument("--version", action="version", version=version)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse a HIT export into annotation rows")
@@ -359,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-dataset", help="group, clean, aggregate, split")
     p.add_argument("rows_file")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--splits", help="article-to-split assignment file to replay")
+    splits = p.add_mutually_exclusive_group()
+    splits.add_argument("--seed", type=int, help="split seed (default: 42)")
+    splits.add_argument("--splits", help="article-to-split assignment file to replay")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_build_dataset)
@@ -377,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_build_lexicon)
 
-    p = sub.add_parser("score", help="score sentences with an estimator")
+    p = sub.add_parser("score", help="score sentences with an estimator", description=(
+        "binary-di and cmi read no text: without --sentences or --from-dataset "
+        "they score one line per label or tag sequence."))
     _add_estimator_flags(p)
     source = p.add_mutually_exclusive_group()
     source.add_argument("--sentences", help="text file, one sentence per line")
@@ -401,14 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contrastive", help="feature x estimator score matrix")
     p.add_argument("pairs_file")
-    p.add_argument("--lexicon")
-    p.add_argument("--di-labels", dest="labels", metavar="DI_LABELS")
-    p.add_argument("--tags")
-    p.add_argument("--scorer-cmd")
-    _add_scorer_flags(p)
+    _add_estimator_flags(p, renamed={"--labels": "--di-labels"})
     p.add_argument("-o", "--output")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_contrastive, flag_names={"--labels": "--di-labels"})
+    p.set_defaults(func=_cmd_contrastive)
 
     p = sub.add_parser("speech", help="segment a saved HTML transcript and score it")
     p.add_argument("html_file")

@@ -260,7 +260,7 @@ def load_assignment(path: str | Path) -> dict[tuple[str, str] | str, str]:
 
 def make_splits(
     groups: Sequence[CommentGroup],
-    seed: int,
+    seed: int | None,
     assignment: dict | None = None,
 ) -> None:
     """Assign a split to every group, keeping articles split-exclusive.

@@ -165,9 +165,25 @@ def read_token_tag_file(path: str | Path) -> list[list[tuple[str, str]]]:
 
 
 def read_label_file(path: str | Path) -> list[str]:
-    """Sentence-DI labels, one per line, aligned with the scored sentences."""
+    """The stripped non-blank lines: sentences, or labels aligned with them."""
     with open(path, encoding="utf-8") as fh:
         return [line.rstrip("\n").strip() for line in fh if line.strip()]
+
+
+def read_di_labels(path: str | Path) -> list[str]:
+    """Sentence-DI labels, one per non-blank line; an unknown label is named
+    by its file line."""
+    labels = []
+    for lineno, cells in numbered_cells(path):
+        label = "\t".join(cells).strip()
+        if not label:
+            continue
+        if label.upper() not in KNOWN_DI_LABELS:
+            raise FormatError(
+                "%s: line %d has unknown sentence-DI label %r" % (path, lineno, label)
+            )
+        labels.append(label)
+    return labels
 
 
 def format_score(score: float) -> str:

@@ -82,15 +82,16 @@ def run_build_dataset(
     """Build ``out_dir`` from a rows file, which is read twice: once to count
     the raw keys, and once into the groups. A rows file whose data lines
     differ in number between the two reads is refused. The small splits file,
-    if any, is read before either, so a bad one is refused at once."""
+    if any, is read before either, so a bad one is refused at once; it, not
+    ``seed``, then chooses the splits, and the outputs record no seed."""
     from . import dataset as dataset_mod
     from . import ingest as ingest_mod
     from .manifest import timestamp, write_manifest, write_output
 
     stamp = timestamp()
-    assignment = (
-        dataset_mod.load_assignment(assignment_path) if assignment_path else None
-    )
+    assignment = dataset_mod.load_assignment(assignment_path) if assignment_path else None
+    if assignment is not None:
+        seed = None
     raw_keys, lines = ingest_mod.count_raw_keys(rows_path)
     groups = dataset_mod.group_comments(ingest_mod.read_rows(rows_path))
     if not groups:
@@ -123,11 +124,7 @@ def run_build_dataset(
     write_output(out_dir / "stats.txt", [dataset_mod.render_stats_text(stats)])
     inputs = [rows_path] + ([assignment_path] if assignment_path else [])
     write_manifest(
-        out_dir / "manifest.json",
-        list(command or []),
-        inputs,
-        stamp,
-        seed=seed,
+        out_dir / "manifest.json", list(command or []), inputs, stamp, seed=seed
     )
     return {
         "groups": stats["groups"],

@@ -368,12 +368,34 @@ def test_build_dataset_replays_assignment(tmp_path):
     replay = tmp_path / "replay"
     code = run(
         [
-            "build-dataset", rows_file, "--seed", "99",
+            "build-dataset", rows_file,
             "--splits", first / "split_assignment.tsv", "-o", replay,
         ]
     )
     assert code == 0
     assert (first / "dataset.tsv").read_bytes() == (replay / "dataset.tsv").read_bytes()
+
+
+def test_build_dataset_refuses_a_seed_with_splits_and_a_replay_records_none(
+    tmp_path, capsys
+):
+    rows_file = make_rows_fixture(tmp_path)
+    first = tmp_path / "first"
+    assert run(["build-dataset", rows_file, "--seed", "7", "-o", first]) == 0
+    assignment = first / "split_assignment.tsv"
+    for seed in ("7", "42"):  # 42, the default, too
+        refused = tmp_path / ("refused-" + seed)
+        with pytest.raises(SystemExit) as excinfo:
+            run(["build-dataset", rows_file, "--seed", seed,
+                 "--splits", assignment, "-o", refused])
+        assert excinfo.value.code == 2
+        assert "not allowed with argument --seed" in capsys.readouterr().err
+        assert not refused.exists()
+    replay = tmp_path / "replay"
+    assert run(["build-dataset", rows_file, "--splits", assignment, "-o", replay]) == 0
+    for name in ("stats.json", "manifest.json"):
+        assert json.loads((first / name).read_text("utf-8"))["seed"] == 7
+        assert json.loads((replay / name).read_text("utf-8"))["seed"] is None
 
 
 def test_agreement_command(tmp_path, capsys):
@@ -563,6 +585,21 @@ def test_score_cmi_reads_its_tag_file_once(tmp_path, monkeypatch):
     assert run(["score", "--estimator", "cmi", "--tags", tags, "-o", scores]) == 0
     assert len(calls) == 1
     assert scores.read_text(encoding="utf-8") == "1\t0.500000\n2\t0.000000\n"
+
+
+def test_score_binary_di_counts_its_own_labels(tmp_path, capsys):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("MSA\n\negy\nGLF\n", encoding="utf-8")
+    argv = ["score", "--estimator", "binary-di", "--labels", labels]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "1\t0.000000\n2\t1.000000\n3\t1.000000\n"
+    scores = tmp_path / "scores.tsv"
+    assert run(argv + ["-o", scores]) == 0
+    assert scores.read_text(encoding="utf-8").count("\n") == 3
+    sidecar = json.loads(
+        (tmp_path / "scores.tsv.manifest.json").read_text(encoding="utf-8")
+    )
+    assert list(sidecar["inputs"]) == [str(labels)]
 
 
 def test_evaluate_equal_predictions(tmp_path, capsys):
@@ -1144,6 +1181,29 @@ def test_an_empty_estimator_input_names_the_flag_the_command_declares(
     assert run(argv) == 2
     assert capsys.readouterr().err == (
         "error: the binary-di estimator requires %s\n" % flag
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_SCORE, "binary-di", "--labels", "DI"],
+        ["speech", "T.html", "--mode", "p", "--estimator", "binary-di",
+         "--labels", "DI"],
+        ["contrastive", _PAIRS_FILE, "--di-labels", "DI"],
+    ],
+    ids=["score", "speech", "contrastive"],
+)
+def test_an_unknown_di_label_is_named_by_its_file_line(
+    tmp_path, monkeypatch, capsys, argv
+):
+    monkeypatch.chdir(tmp_path)
+    Path("S").write_text("جملة\nجملة\n", encoding="utf-8")
+    Path("DI").write_text("EGY\n\n XYZ \n", encoding="utf-8")
+    Path("T.html").write_text("<p>جملة</p><p>جملة</p>", encoding="utf-8")
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: DI: line 3 has unknown sentence-DI label 'XYZ'\n"
     )
 
 

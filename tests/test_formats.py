@@ -273,6 +273,46 @@ def _lexicon_valid(rng):
 LEXICON = Format(_lexicon_valid, estimators.load_lexicon, {})  # its lines hold no fault
 
 
+# --- sentence-DI labels ---------------------------------------------------------
+
+# Lines a label file skips: blank after stripping.
+_LABEL_SKIPS = (" ", "\t", "\x0b \xa0")
+
+
+def _di_labels_valid(rng):
+    lines, expected = [], []
+    for _ in range(rng.randrange(2, 25)):
+        if rng.random() < 0.15:
+            lines.append(rng.choice(_LABEL_SKIPS))
+            continue
+        label = rng.choice(sorted(estimators.KNOWN_DI_LABELS))
+        label = rng.choice([label, label.lower(), label.capitalize()])
+        expected.append(label)
+        lines.append(rng.choice(["", " ", "\xa0", "\t"]) + label + rng.choice(["", " "]))
+    return [], lines, expected
+
+
+def _di_labels_unknown(rng, lines):
+    j = rng.randrange(len(lines))
+    label = rng.choice(["XYZ", "msa?", "EGY LEV", "M SA", "Egyptian", "MSA\tEGY"])
+    line = rng.choice(["", " "]) + label + rng.choice(["", "\t"])
+    return j, line, "has unknown sentence-DI label %s$" % re.escape(repr(label))
+
+
+def _binary_di_estimator(path):
+    """score's, speech's and contrastive's binary-di estimator, built from
+    the file as the CLI builds it."""
+    return cli._ESTIMATORS["binary-di"][1](estimators, path, None)
+
+
+DI_LABELS = Format(
+    _di_labels_valid,
+    estimators.read_di_labels,
+    {"unknown-label": _di_labels_unknown},
+    (_binary_di_estimator,),
+)
+
+
 # --- annotation rows ----------------------------------------------------------
 
 # Annotation-row cells with a closed vocabulary, by column index.
@@ -338,7 +378,7 @@ ROWS = Format(
 
 FORMATS = {
     "dataset": DATASET, "scores": SCORES, "assignment": ASSIGNMENT,
-    "pairs": PAIRS, "lexicon": LEXICON, "rows": ROWS,
+    "pairs": PAIRS, "lexicon": LEXICON, "rows": ROWS, "di-labels": DI_LABELS,
 }
 
 
