@@ -287,6 +287,7 @@ def _cmd_contrastive(args):
 
 
 def _cmd_speech(args):
+    import os
     from pathlib import Path
 
     from . import speech as speech_mod
@@ -294,6 +295,10 @@ def _cmd_speech(args):
     from .manifest import timestamp, write_sidecar
     from .svgplot import emit_plot
 
+    # the plot would replace the series, and the two sidecars would be one
+    if args.output and args.plot:
+        if os.path.realpath(args.output) == os.path.realpath(args.plot):
+            raise FormatError("-o and --plot name the same file %s" % args.plot)
     (estimator,) = _estimators(args)
     sentences = speech_mod.segment_html_file(args.html_file, args.mode)
     di_labels = read_label_file(args.di_labels) if args.di_labels else None

@@ -13,10 +13,12 @@ Pipeline stages, in order:
 
 Annotation rows are consumed as a stream: a :class:`CommentGroup` keeps only
 the level and dialect label of each of its annotations, as two tuples, and
-every later stage reads the groups. A score is exact: the pair (k, n) of a
-level sum in thirds and a label count stands for k / 3n, and it serializes
-at 6 decimal places (round half even). Output files list groups sorted by
-source, article and canonical text; a group's labels keep their input order.
+every later stage reads the groups. Equal label tuples are one shared
+object: a few hundred distinct tuples serve many thousands of groups. A
+score is exact: the pair (k, n) of a level sum in thirds and a label count
+stands for k / 3n, and it serializes at 6 decimal places (round half even).
+Output files list groups sorted by source, article and canonical text; a
+group's labels keep their input order.
 """
 
 from __future__ import annotations
@@ -70,9 +72,11 @@ class CommentGroup:
     """One comment and its annotations: the table every stage after grouping reads.
 
     ``levels[i]`` and ``dialects[i]`` are the labels of the group's i-th
-    annotation, in input order (``""`` for no dialect); both are tuples. The
-    later stages fill in ``aldi`` and ``split`` (kept groups) or ``category``
-    (discarded ones); ``aldi`` is the :func:`aggregate` pair ``(k, n)``.
+    annotation, in input order (``""`` for no dialect); both are tuples.
+    Among the groups of one :func:`group_comments` call, equal tuples are one
+    shared object. The later stages fill in ``aldi`` and ``split`` (kept
+    groups) or ``category`` (discarded ones); ``aldi`` is the
+    :func:`aggregate` pair ``(k, n)``.
     """
 
     __slots__ = (
@@ -126,9 +130,12 @@ def group_comments(rows: Iterable[AnnotationRow]) -> list[CommentGroup]:
     its first row, and its kind is "comment" once any of its rows is a comment.
     Labels grow as tuples, which hold a group's few labels in less memory
     than lists; lists turned into tuples afterwards would all be held at
-    the grouping peak.
+    the grouping peak. Each grown tuple is swapped for the equal one already
+    held, if any, so equal ``levels`` (or ``dialects``) of any two groups are
+    one object, and only the distinct tuples cost memory.
     """
     groups: dict[tuple[str, str, str], CommentGroup] = {}
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
     for row in rows:
         text = row.sentence_text
         key = (row.source, row.article_id, textnorm.normalize(text))
@@ -139,8 +146,10 @@ def group_comments(rows: Iterable[AnnotationRow]) -> list[CommentGroup]:
             )
         elif row.kind == "comment" and group.kind == "control":
             group.kind = "comment"
-        group.levels += (row.level,)
-        group.dialects += (row.dialect,)
+        levels = group.levels + (row.level,)
+        group.levels = shared.setdefault(levels, levels)
+        dialects = group.dialects + (row.dialect,)
+        group.dialects = shared.setdefault(dialects, dialects)
     return list(groups.values())
 
 

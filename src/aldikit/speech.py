@@ -8,10 +8,11 @@ Two segmentation modes match how transcript sites lay out their text:
 from __future__ import annotations
 
 import csv
-import io
 import warnings
 from html.parser import HTMLParser
+from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 from . import textnorm
@@ -144,11 +145,16 @@ def score_series(
 
 
 def write_series_csv(series: ScoreSeries, path: str | Path) -> None:
-    """One CSV row per point, each score written by ``format_score``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "score", "di_label", "sentence"])
-    writer.writerows(
-        [p.index, format_score(p.aldi), p.di_label or "", p.sentence] for p in series.points
+    """One CSV row per point, each score written by ``format_score``.
+
+    The rows stream into ``write_output`` one line at a time, never joined:
+    ``csv.writer.writerow`` returns what its file's ``write`` returns, so a
+    writer whose ``write`` is ``str`` yields each line as the ``csv`` module
+    quotes it.
+    """
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    rows = chain(
+        [("index", "score", "di_label", "sentence")],
+        ((p.index, format_score(p.aldi), p.di_label or "", p.sentence) for p in series.points),
     )
-    write_output(path, [buf.getvalue()])
+    write_output(path, map(writer.writerow, rows))

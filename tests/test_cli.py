@@ -927,6 +927,20 @@ def test_speech_command(tmp_path, capsys):
     assert svg_out.read_text(encoding="utf-8").count('class="pt"') == 3
 
 
+@pytest.mark.parametrize("plot", ["./series.csv", "link.svg"])
+def test_speech_refuses_one_file_for_series_and_plot(tmp_path, monkeypatch, capsys, plot):
+    monkeypatch.chdir(tmp_path)
+    os.symlink("series.csv", "link.svg")
+    # the transcript does not exist: the refusal comes before it is read
+    code = run(["speech", "missing.html", "--mode", "p", *_LEX_FILE,
+                "--estimator", "lexicon", "-o", "series.csv", "--plot", plot])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: -o and --plot name the same file %s\n" % plot
+    )
+    assert sorted(os.listdir(tmp_path)) == ["link.svg"]
+
+
 def test_external_scorer_protocol_error_exits_3(tmp_path):
     sentences = tmp_path / "s.txt"
     sentences.write_text("جملة\n", encoding="utf-8")

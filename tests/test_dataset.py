@@ -122,6 +122,52 @@ def test_groups_share_their_immutable_parts(tmp_path):
     assert values == [(0.0, 1 / 3, 1.0), (1.0, 0.0, 1 / 3)]
 
 
+def _text_variant(rng, base):
+    """``base``, or a copy with a diacritic, a tatweel or a doubled space,
+    each of which normalizes back to ``base``."""
+    i = rng.randrange(1, len(base))
+    return rng.choice([
+        base,
+        base[:i] + "\u064e" + base[i:],
+        base[:i] + "\u0640" + base[i:],
+        base.replace(" ", "  "),
+    ])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_group_comments_equals_a_naive_grouping_and_shares_label_tuples(seed):
+    rng = random.Random(seed)
+    bases = ["كتب الولد", "ارض واسعة", "قال الرئيس كلمة", "نص قصير", "شكرا جزيلا"]
+    rows = [
+        make_row(
+            source=rng.choice(["AlGhad", "AlRiyadh", "Youm7"]),
+            article_id=rng.choice(["a1", "a2", "a3"]),
+            text=_text_variant(rng, rng.choice(bases)),
+            kind=rng.choice(["comment", "control"]),
+            level=rng.choice(["MSA", "MSA", "Little", "Mixed", "Most", "Missing"]),
+            dialect=rng.choice(["", "", "EGY", "LEV"]),
+            worker="w%d" % i,
+        )
+        for i in range(rng.randrange(80, 200))
+    ]
+    naive: dict = {}
+    for row in rows:
+        key = (row.source, row.article_id, normalize(row.sentence_text))
+        naive.setdefault(key, []).append(row)
+    groups = group_comments(iter(rows))
+    assert [(g.source, g.article_id, g.canonical_text) for g in groups] == list(naive)
+    for group, members in zip(groups, naive.values()):
+        assert group.raw_text == members[0].sentence_text
+        comment = any(r.kind == "comment" for r in members)
+        assert group.kind == ("comment" if comment else "control")
+        assert group.levels == tuple(r.level for r in members)
+        assert group.dialects == tuple(r.dialect for r in members)
+    # equal label tuples are one object, and this input has equal ones to share
+    for tuples in ([g.levels for g in groups], [g.dialects for g in groups]):
+        assert len(set(tuples)) < len(tuples)
+        assert len({id(t) for t in tuples}) == len(set(tuples))
+
+
 # ---------------------------------------------------------------------------
 # junk rule
 

@@ -1,3 +1,6 @@
+import csv
+import io
+import os
 import random
 import re
 import warnings
@@ -6,7 +9,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from aldikit.errors import FormatError
-from aldikit.estimators import LexiconEstimator
+from aldikit.estimators import LexiconEstimator, format_score
 from aldikit.speech import ScoreSeries, SeriesPoint, score_series, segment_html, write_series_csv
 from aldikit.textnorm import normalize
 from aldikit.svgplot import HEIGHT, MARGIN_BOTTOM, MARGIN_TOP, plot_coordinates, render_svg
@@ -143,6 +146,47 @@ def test_write_series_csv(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "index,score,di_label,sentence"
     assert lines[1] == "1,0.500000,EGY,جملة"
+
+
+def _whole_series_csv(series):
+    """The series CSV as one ``csv.writer`` over a ``StringIO`` writes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["index", "score", "di_label", "sentence"])
+    for p in series.points:
+        writer.writerow([p.index, format_score(p.aldi), p.di_label or "", p.sentence])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_streamed_series_csv_equals_the_whole_csv_writer_output(tmp_path, seed):
+    rng = random.Random(seed)
+    pieces = ["جملة", "a b", ",", '"', "\r", "\n", "\r\n", " ", "'"]
+
+    def cell():
+        return "".join(rng.choice(pieces) for _ in range(rng.randrange(6)))
+
+    points = tuple(
+        SeriesPoint(i, cell() or "نص", rng.random(), rng.choice([None, "", cell()]))
+        for i in range(1, rng.randrange(2, 60))
+    )
+    series = ScoreSeries("doc", "lexicon", points)
+    out = tmp_path / "series.csv"
+    write_series_csv(series, out)
+    assert out.read_bytes() == _whole_series_csv(series).encode("utf-8")
+
+
+def test_a_series_csv_that_fails_midway_leaves_the_old_file(tmp_path):
+    out = tmp_path / "series.csv"
+    out.write_text("old bytes\n", encoding="utf-8")
+    points = [SeriesPoint(i, "جملة", 0.5) for i in range(1, 4)]
+    series = ScoreSeries("doc", "lexicon", (*points, SeriesPoint(4, "جملة", None)))
+    with pytest.raises(TypeError) as excinfo:
+        write_series_csv(series, out)
+    # the score is formatted as the rows stream, inside write_output
+    assert "write_output" in [entry.name for entry in excinfo.traceback]
+    assert out.read_bytes() == b"old bytes\n"
+    assert sorted(os.listdir(tmp_path)) == ["series.csv"]
 
 
 # ---------------------------------------------------------------------------
