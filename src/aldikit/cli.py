@@ -68,6 +68,11 @@ def _input_flag(kind: str) -> str:
     return next(iter(_ESTIMATORS[kind][0]))
 
 
+def _estimator_files(args) -> list:
+    """The file each estimator kind reads, None if unset; a scorer is no file."""
+    return [getattr(args, _dest(_input_flag(k))) for k in _ESTIMATORS if k != "external"]
+
+
 def _add_estimator_flags(parser, renamed: dict | None = None) -> None:
     """Declare ``--estimator`` and every flag of ``_ESTIMATORS``. A command
     that passes ``renamed`` (a table flag -> the spelling it declares) has no
@@ -162,16 +167,13 @@ def _cmd_agreement(args):
 
 def _cmd_build_lexicon(args):
     from . import estimators as est_mod
-    from .manifest import timestamp, write_sidecar
+    from .manifest import Run
 
-    stamp = timestamp()
+    run = Run(args.argv, [args.corpus], [args.output])
     with open(args.corpus, encoding="utf-8") as fh:
         lexicon, counts = est_mod.build_lexicon(fh, min_occurrences=args.min_count)
     est_mod.save_lexicon(lexicon, args.min_count, args.output)
-    write_sidecar(
-        args.output, args.argv, [args.corpus], stamp,
-        tokens=len(lexicon), min_count=args.min_count,
-    )
+    run.close(tokens=len(lexicon), min_count=args.min_count)
     payload = {
         "tokens": len(lexicon),
         "distinct_tokens_seen": len(counts),
@@ -186,9 +188,11 @@ def _cmd_build_lexicon(args):
 
 def _cmd_score(args):
     from . import estimators as est_mod
-    from .manifest import timestamp, write_output, write_sidecar
+    from .manifest import Run, write_output
     from .pipeline import read_dataset_file
 
+    inputs = [args.sentences, args.from_dataset, *_estimator_files(args)]
+    run = Run(args.argv, inputs, [args.output])
     (estimator,) = _estimators(args)
     source_path = args.sentences or args.from_dataset
     if args.sentences is not None:
@@ -207,12 +211,8 @@ def _cmd_score(args):
     table = "".join("%d\t%s\n" % (i, fmt(s)) for i, s in enumerate(scores, start=1))
     if not args.output:
         return None, table
-    stamp = timestamp()
     write_output(args.output, [table])
-    write_sidecar(
-        args.output, args.argv, [source_path], stamp,
-        estimator=estimator.estimator_id, scores=len(scores),
-    )
+    run.close(estimator=estimator.estimator_id, scores=len(scores))
     return None, "scored %d sentences -> %s\n" % (len(scores), args.output)
 
 
@@ -269,8 +269,10 @@ def _cmd_dprime(args):
 
 def _cmd_contrastive(args):
     from . import evaluation as eval_mod
-    from .manifest import timestamp, write_output, write_sidecar
+    from .manifest import Run, write_output
 
+    inputs = [args.pairs_file, *_estimator_files(args)]
+    run = Run(args.argv, inputs, [args.output])
     estimators = _estimators(args)
     pairs = eval_mod.read_pairs_file(args.pairs_file)
     if not pairs:
@@ -280,49 +282,39 @@ def _cmd_contrastive(args):
     payload = {"rows": rows}
     if not args.output:
         return payload, table
-    stamp = timestamp()
     write_output(args.output, [table])
-    write_sidecar(args.output, args.argv, [args.pairs_file], stamp, rows=len(rows))
+    run.close(rows=len(rows))
     return payload, "wrote %d matrix rows -> %s\n" % (len(rows), args.output)
 
 
 def _cmd_speech(args):
-    import os
     from pathlib import Path
 
     from . import speech as speech_mod
     from .estimators import read_label_file
-    from .manifest import timestamp, write_sidecar
+    from .manifest import Run
     from .svgplot import emit_plot
 
-    # the plot would replace the series, and the two sidecars would be one
-    if args.output and args.plot:
-        if os.path.realpath(args.output) == os.path.realpath(args.plot):
-            raise FormatError("-o and --plot name the same file %s" % args.plot)
+    inputs = [args.html_file, *_estimator_files(args), args.di_labels]
+    run = Run(args.argv, inputs, [args.output, args.plot])
     (estimator,) = _estimators(args)
     sentences = speech_mod.segment_html_file(args.html_file, args.mode)
     di_labels = read_label_file(args.di_labels) if args.di_labels else None
     document_id = Path(args.html_file).stem
     series = speech_mod.score_series(document_id, sentences, estimator, di_labels)
-    outputs = [out for out in (args.output, args.plot) if out]
-    stamp = timestamp() if outputs else None
     if args.output:
         speech_mod.write_series_csv(series, args.output)
     if args.plot:
         emit_plot(series, args.plot)
-    for out in outputs:
-        write_sidecar(
-            out, args.argv, [args.html_file], stamp,
-            segments=len(series.points), mode=args.mode,
-        )
+    run.close(segments=len(series.points), mode=args.mode)
     payload = {
         "document_id": series.document_id,
         "estimator": series.estimator_id,
         "segments": len(series.points),
-        "outputs": [str(o) for o in outputs],
+        "outputs": [str(o) for o in run.outputs],
     }
     text = "%(document_id)s: %(segments)d segments scored with %(estimator)s\n" % payload
-    return payload, text + "".join("  wrote %s\n" % out for out in outputs)
+    return payload, text + "".join("  wrote %s\n" % out for out in run.outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Output files and run manifests.
+"""Output files and the run record that writes every manifest.
 
 Every file aldikit writes goes through :func:`write_output`: UTF-8, the
 newlines its chunks hold, streamed, and lone surrogates from non-UTF-8
@@ -9,13 +9,15 @@ target that already holds exactly the new bytes is not replaced at all,
 manifests included: it keeps its inode, mtime and mode, since replacing a
 file that holds blocks costs far more than reading it.
 
-A manifest records the command line, sha256 digests of every input file,
-the seed when one was used, the tool version, and a timestamp. The
-timestamp honors SOURCE_DATE_EPOCH so reproducible runs produce
-byte-identical manifests. A command that writes a manifest reads it with
-:func:`timestamp` before its first output, so an unreadable value is
-refused while every old output is still whole. A single output ``<out>``
-gets its manifest beside it, as ``<out>.manifest.json``.
+A command that writes files first declares a :class:`Run`: its argv, the
+files it reads and writes, and its one manifest, or else ``<out>.manifest.json``
+beside each output ``<out>``. Made before the first read, the run takes the
+:func:`timestamp`, so an unreadable SOURCE_DATE_EPOCH is refused while every
+old output is whole, and it refuses an output or manifest that resolves to an
+input or to another output or manifest. A run with no outputs does neither.
+``close(seed, **counts)`` writes each manifest: the command line, sha256
+digests of the inputs, the seed, the tool version, the timestamp (from
+SOURCE_DATE_EPOCH if set, so reruns match byte for byte) and the counts.
 """
 
 from __future__ import annotations
@@ -101,34 +103,37 @@ def timestamp() -> str:
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def write_manifest(
-    out_path: str | Path,
-    command: list[str],
-    inputs: list[str | Path],
-    stamp: str,
-    seed: int | None = None,
-    **extra,
-) -> None:
-    """Write the manifest of one run to ``out_path``; ``stamp`` is the run's
-    :func:`timestamp`, and ``extra`` adds keys."""
-    manifest = {
-        "command": command,
-        "inputs": {str(p): file_digest(p) for p in inputs},
-        "seed": seed,
-        "tool_version": __version__,
-        "timestamp": stamp,
-        **extra,
-    }
-    text = json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
-    write_output(out_path, [text])
+class Run:
+    """One command's run record; see the module docstring for its contract.
+    An input or output given as None or "" is an unset flag, not a file."""
 
+    def __init__(self, command, inputs, outputs, manifest=None):
+        self.command = list(command or [])
+        self.inputs = [path for path in inputs if path]
+        self.outputs = [path for path in outputs if path]
+        sidecars = [str(path) + ".manifest.json" for path in self.outputs]
+        self.manifests = [manifest] if manifest else sidecars
+        self.stamp = timestamp() if self.manifests else None
+        seen = {os.path.realpath(path): "input %s" % path for path in self.inputs}
+        for role, paths in (("output", self.outputs), ("manifest", self.manifests)):
+            for path in paths:
+                name, key = "%s %s" % (role, path), os.path.realpath(path)
+                if key in seen:
+                    raise FormatError("%s is the same file as %s" % (name, seen[key]))
+                seen[key] = name
 
-def write_sidecar(
-    out_path: str | Path,
-    command: list[str],
-    inputs: list[str | Path],
-    stamp: str,
-    **extra,
-) -> None:
-    """Write the manifest of the single output ``out_path`` beside it."""
-    write_manifest(str(out_path) + ".manifest.json", command, inputs, stamp, **extra)
+    def close(self, seed: int | None = None, **counts) -> None:
+        """Write each manifest of the run."""
+        if not self.manifests:
+            return
+        manifest = {
+            "command": self.command,
+            "inputs": {str(p): file_digest(p) for p in self.inputs},
+            "seed": seed,
+            "tool_version": __version__,
+            "timestamp": self.stamp,
+            **counts,
+        }
+        text = json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+        for path in self.manifests:
+            write_output(path, [text])

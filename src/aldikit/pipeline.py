@@ -1,9 +1,9 @@
 """High-level drivers shared by the CLI and the test suite.
 
 Each run_* function performs one subcommand's work: read inputs, call the
-library, write every output file (plus a manifest) through
-``manifest.write_output``, and return a summary dict suitable for --json
-printing. Rows and dataset lines are streamed into their files.
+library, write each output through ``manifest.write_output`` and close the
+``manifest.Run`` that declared them before the first read, and return a
+summary dict for --json printing. Rows and dataset lines are streamed.
 
 ``build-dataset`` reads the rows file twice: a first read counts the
 distinct raw keys of ``stats.json`` and frees them before a second read
@@ -28,6 +28,10 @@ from typing import Sequence
 
 from .errors import FormatError, check_width, numbered_cells
 
+# the data files of a built dataset directory, beside its manifest.json
+_DATASET_FILES = ("dataset.tsv", "discarded.tsv", "split_assignment.tsv", "stats.json",
+                  "stats.txt")
+
 
 def run_ingest(
     hit_path: str | Path,
@@ -37,9 +41,9 @@ def run_ingest(
     command: Sequence[str] | None = None,
 ) -> dict:
     from . import ingest as ingest_mod
-    from .manifest import timestamp, write_sidecar
+    from .manifest import Run
 
-    stamp = timestamp()
+    run = Run(command, [hit_path, column_map_path], [out_path])
     cmap = (
         ingest_mod.ColumnMapConfig.load(column_map_path)
         if column_map_path
@@ -58,10 +62,7 @@ def run_ingest(
     ingest_mod.write_rows(rows(), out_path)
     row_count = sum(per_source.values())
     hit_count = row_count // ingest_mod.SENTENCES_PER_HIT  # every hit is 12 rows
-    inputs = [hit_path] + ([column_map_path] if column_map_path else [])
-    write_sidecar(
-        out_path, list(command or []), inputs, stamp, hits=hit_count, rows=row_count
-    )
+    run.close(hits=hit_count, rows=row_count)
     return {
         "hits": hit_count,
         "rows": row_count,
@@ -86,9 +87,13 @@ def run_build_dataset(
     ``seed``, then chooses the splits, and the outputs record no seed."""
     from . import dataset as dataset_mod
     from . import ingest as ingest_mod
-    from .manifest import timestamp, write_manifest, write_output
+    from .manifest import Run, write_output
 
-    stamp = timestamp()
+    out_dir = Path(out_dir)
+    run = Run(
+        command, [rows_path, assignment_path],
+        [out_dir / name for name in _DATASET_FILES], out_dir / "manifest.json",
+    )
     assignment = dataset_mod.load_assignment(assignment_path) if assignment_path else None
     if assignment is not None:
         seed = None
@@ -113,19 +118,16 @@ def run_build_dataset(
     stats["seed"] = seed
     stats["distinct_keys"] = {"normalized": normalized_keys, "raw": raw_keys}
 
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_output(out_dir / "dataset.tsv", dataset_mod.dataset_lines(kept))
-    write_output(out_dir / "discarded.tsv", dataset_mod.discarded_lines(discarded))
-    write_output(out_dir / "split_assignment.tsv", dataset_mod.assignment_lines(kept))
-
-    stats_json = json.dumps(stats, ensure_ascii=False, sort_keys=True, indent=2)
-    write_output(out_dir / "stats.json", [stats_json + "\n"])
-    write_output(out_dir / "stats.txt", [dataset_mod.render_stats_text(stats)])
-    inputs = [rows_path] + ([assignment_path] if assignment_path else [])
-    write_manifest(
-        out_dir / "manifest.json", list(command or []), inputs, stamp, seed=seed
+    stats_json = json.dumps(stats, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    tables = (  # in the order of _DATASET_FILES; the generators stream
+        dataset_mod.dataset_lines(kept), dataset_mod.discarded_lines(discarded),
+        dataset_mod.assignment_lines(kept), [stats_json],
+        [dataset_mod.render_stats_text(stats)],
     )
+    for path, chunks in zip(run.outputs, tables):
+        write_output(path, chunks)
+    run.close(seed=seed)
     return {
         "groups": stats["groups"],
         "kept": stats["groups"]["kept"],

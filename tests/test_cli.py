@@ -328,37 +328,97 @@ def test_unreadable_source_date_epoch_exits_2(tmp_path, capsys, monkeypatch):
     assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["build-dataset", "build-lexicon"])
+def _tree(root):
+    """Each path under ``root``: its inode, mtime and, for a file, its bytes."""
+    return {
+        path: (path.stat().st_ino, path.stat().st_mtime_ns,
+               path.read_bytes() if path.is_file() else None)
+        for path in root.rglob("*")
+    }
+
+
+# command -> (argv run in chain_dir, its last argument in a first run and in a
+# second run that would write other bytes)
+_EPOCH_RUNS = {
+    "build-dataset": (["build-dataset", "rows.tsv", "-o", "out", "--seed"], "42", "7"),
+    "build-lexicon": (
+        ["build-lexicon", "corpus.txt", "-o", "lex.txt", "--min-count"], "2", "1"
+    ),
+    "ingest": (["ingest", "-o", "ingested.tsv", "--lenient"], "hits.tsv", "mixed.tsv"),
+    "score": (
+        ["score", "--estimator", "lexicon", "--lexicon", "lex.txt", "-o", "scores.tsv",
+         "--sentences"], "sent.txt", "corpus.txt",
+    ),
+    "contrastive": (
+        ["contrastive", str(DATA_DIR / "contrastive_pairs_egy.tsv"), "-o", "matrix.tsv",
+         "--lexicon"], str(DATA_DIR / "contrastive_lexicon.txt"), "lex.txt",
+    ),
+    "speech": (
+        ["speech", "--mode", "p", "--estimator", "lexicon", "--lexicon", "lex.txt",
+         "-o", "series.csv", "--plot", "series.svg"], "speech.html", "other.html",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_EPOCH_RUNS))
 def test_unreadable_source_date_epoch_leaves_earlier_outputs_whole(
-    tmp_path, monkeypatch, capsys, command
+    chain_dir, monkeypatch, capsys, command
 ):
-    monkeypatch.chdir(tmp_path)
-    if command == "build-dataset":
-        make_rows_fixture(tmp_path)
-        argv = ["build-dataset", "rows.tsv", "-o", "out", "--seed"]
-        first, second = argv + ["42"], argv + ["7"]
-    else:
-        Path("corpus.txt").write_text("كلمة أولى كلمة\nثانية أولى\n", encoding="utf-8")
-        argv = ["build-lexicon", "corpus.txt", "-o", "lex.txt", "--min-count"]
-        first, second = argv + ["2"], argv + ["1"]
-    assert run(first) == 0
-    for path in tmp_path.rglob("*"):
+    argv, first, second = _EPOCH_RUNS[command]
+    Path("other.html").write_text("<p>قيلت الحقيقة</p>", encoding="utf-8")
+    assert run(["build-lexicon", "corpus.txt", "-o", "lex.txt"]) == 0
+    assert run(argv + [first]) == 0
+    for path in chain_dir.rglob("*"):
         os.utime(path, ns=(_OLD_NS, _OLD_NS))
-
-    def tree():
-        return {
-            path: (path.stat().st_ino, path.stat().st_mtime_ns,
-                   path.read_bytes() if path.is_file() else None)
-            for path in tmp_path.rglob("*")
-        }
-
-    before = tree()
+    before = _tree(chain_dir)
     capsys.readouterr()
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
-    assert run(second) == 2
+    assert run(argv + [second]) == 2
     assert capsys.readouterr().err == "error: unreadable SOURCE_DATE_EPOCH 'abc'\n"
     # every earlier output keeps its bytes, inode and mtime, and none is added
-    assert tree() == before
+    assert _tree(chain_dir) == before
+    # ... which a readable timestamp would have replaced
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    assert run(argv + [second]) == 0
+    assert _tree(chain_dir) != before
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["speech", "T.html", "--mode", "p", "--estimator", "lexicon", "--lexicon", "L",
+          "-o", "a.csv", "--plot", "a.csv.manifest.json"],
+         "manifest a.csv.manifest.json is the same file as output a.csv.manifest.json"),
+        (["build-lexicon", "c.txt", "-o", "c.txt"],
+         "output c.txt is the same file as input c.txt"),
+        (["score", "--estimator", "lexicon", "--lexicon", "L", "--sentences", "S",
+          "-o", "L"], "output L is the same file as input L"),
+        (["ingest", "h.tsv", "-o", "h.tsv"], "output h.tsv is the same file as input h.tsv"),
+        (["build-dataset", "rows.tsv", "--splits", "ds/split_assignment.tsv", "-o", "ds"],
+         "output ds/split_assignment.tsv is the same file as input "
+         "ds/split_assignment.tsv"),
+    ],
+    ids=["speech", "build-lexicon", "score", "ingest", "build-dataset"],
+)
+def test_an_output_that_is_an_input_or_a_manifest_exits_2_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    Path("T.html").write_text("<p>الحقيقة اتقالت</p>", encoding="utf-8")
+    Path("c.txt").write_text("كلمة أولى كلمة\nثانية أولى ثانية\n", encoding="utf-8")
+    Path("S").write_text("كلمة مجهولة\n", encoding="utf-8")
+    Path("L").write_bytes((DATA_DIR / "contrastive_lexicon.txt").read_bytes())
+    Path("h.tsv").write_text(make_hit_line() + "\n", encoding="utf-8")
+    make_rows_fixture(tmp_path)
+    assert run(["build-dataset", "rows.tsv", "-o", "ds"]) == 0
+    for path in tmp_path.rglob("*"):
+        os.utime(path, ns=(_OLD_NS, _OLD_NS))
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    # every file keeps its bytes, inode and mtime, and none is added
+    assert _tree(tmp_path) == before
 
 
 def test_build_dataset_replays_assignment(tmp_path):
@@ -936,7 +996,7 @@ def test_speech_refuses_one_file_for_series_and_plot(tmp_path, monkeypatch, caps
                 "--estimator", "lexicon", "-o", "series.csv", "--plot", plot])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: -o and --plot name the same file %s\n" % plot
+        "error: output %s is the same file as output series.csv\n" % plot
     )
     assert sorted(os.listdir(tmp_path)) == ["link.svg"]
 
@@ -1180,22 +1240,26 @@ def test_a_flag_the_run_would_not_read_exits_2(
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, message",
     [
-        (["contrastive", _PAIRS_FILE, "--di-labels", ""], "--di-labels"),
-        ([*_SCORE, "binary-di", "--labels", ""], "--labels"),
+        (["contrastive", _PAIRS_FILE, "--di-labels", ""],
+         "the binary-di estimator requires --di-labels"),
+        ([*_SCORE, "binary-di", "--labels", ""],
+         "the binary-di estimator requires --labels"),
+        # an unset flag is no input of the run that -o declares
+        (["score", "--estimator", "lexicon", "-o", "x"],
+         "the lexicon estimator requires --lexicon"),
     ],
-    ids=["contrastive", "score"],
+    ids=["contrastive", "score", "score-output"],
 )
 def test_an_empty_estimator_input_names_the_flag_the_command_declares(
-    tmp_path, monkeypatch, capsys, argv, flag
+    tmp_path, monkeypatch, capsys, argv, message
 ):
     monkeypatch.chdir(tmp_path)
     Path("S").write_text("جملة\n", encoding="utf-8")
     assert run(argv) == 2
-    assert capsys.readouterr().err == (
-        "error: the binary-di estimator requires %s\n" % flag
-    )
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert os.listdir() == ["S"]
 
 
 @pytest.mark.parametrize(
@@ -1414,6 +1478,23 @@ def test_manifests_record_the_argv_main_parsed(chain_dir, monkeypatch):
     for argv, _ in CHAIN:
         for path in _manifest_paths(argv):
             assert json.loads(path.read_text(encoding="utf-8"))["command"] == argv
+
+
+def test_manifests_record_every_file_the_command_reads(chain_dir):
+    assert run(["build-lexicon", "corpus.txt", "-o", "lex.txt"]) == 0
+    Path("di.txt").write_text("MSA\nEGY\nMSA\n", encoding="utf-8")
+    for argv, inputs in [  # each argv ends in its one output
+        (["score", *_LEXICON, "--sentences", "sent.txt", "-o", "scores.tsv"],
+         ["lex.txt", "sent.txt"]),
+        (["speech", "speech.html", "--mode", "p", *_LEXICON,
+          "--di-labels-file", "di.txt", "--plot", "p.svg"],
+         ["di.txt", "lex.txt", "speech.html"]),
+        (["contrastive", *_PAIRS, "-o", "matrix.tsv"],
+         sorted(_PAIRS[::2])),  # the pairs file and --lexicon
+    ]:
+        assert run(argv) == 0, argv
+        manifest = Path(argv[-1] + ".manifest.json").read_text(encoding="utf-8")
+        assert sorted(json.loads(manifest)["inputs"]) == inputs, argv
 
 
 _OLD_NS = 10**18  # an mtime in 2001, long before any rerun
