@@ -222,6 +222,9 @@ def _cmd_evaluate(args):
 
     rows = read_dataset_file(args.gold, ("kind", "aldi", "split"))
     predictions = read_score_file(args.pred)
+    stray = next((i for i in predictions if not 0 < i <= len(rows)), None)
+    if stray is not None:
+        raise FormatError("%s: id %d is not a row of %s" % (args.pred, stray, args.gold))
     pairs = []
     for row_id, (kind, aldi, split) in enumerate(rows, start=1):
         if not aldi or args.split not in (None, split):
@@ -291,7 +294,7 @@ def _cmd_speech(args):
     from pathlib import Path
 
     from . import speech as speech_mod
-    from .estimators import read_label_file
+    from .estimators import read_di_labels
     from .manifest import Run
     from .svgplot import emit_plot
 
@@ -299,7 +302,7 @@ def _cmd_speech(args):
     run = Run(args.argv, inputs, [args.output, args.plot])
     (estimator,) = _estimators(args)
     sentences = speech_mod.segment_html_file(args.html_file, args.mode)
-    di_labels = read_label_file(args.di_labels) if args.di_labels else None
+    di_labels = read_di_labels(args.di_labels) if args.di_labels else None
     document_id = Path(args.html_file).stem
     series = speech_mod.score_series(document_id, sentences, estimator, di_labels)
     if args.output:

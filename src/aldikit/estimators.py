@@ -165,7 +165,7 @@ def read_token_tag_file(path: str | Path) -> list[list[tuple[str, str]]]:
 
 
 def read_label_file(path: str | Path) -> list[str]:
-    """The stripped non-blank lines: sentences, or labels aligned with them."""
+    """The stripped non-blank lines of ``score --sentences``, one sentence each."""
     with open(path, encoding="utf-8") as fh:
         return [line.rstrip("\n").strip() for line in fh if line.strip()]
 

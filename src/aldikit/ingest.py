@@ -9,9 +9,15 @@ default map for the known public release ships in ``aldikit/data``.
 Each parsed line yields its 12 :class:`AnnotationRow` records, one per
 (sentence, annotator) pair, each carrying the worker's fields. A row's fields
 are its cells in the rows file, ``""`` for no value. These flat rows are the
-file every later command reads. ``build-dataset`` and
-``agreement`` stream them into comment groups that keep only each
-annotation's level and dialect labels, never the rows themselves.
+file every later command reads. ``build-dataset`` and ``agreement`` stream
+them into comment groups that keep only each annotation's level and dialect
+labels, never the rows themselves.
+
+One lookup checks every label of a HIT export, cell or column-map constant:
+its stripped, lower-cased spelling in the field's alias table. A miss raises
+``<place> has unknown <field> <token>``, the field named as its rows-file
+column; a line's place is ``<path>: line <N>``, which begins every fault of
+a HIT line.
 """
 
 from __future__ import annotations
@@ -138,13 +144,15 @@ class ColumnMapConfig:
 
     The map is resolved and checked once, at load: each field becomes a column
     index or a constant string (``""`` if absent; a block without ``source``
-    takes the top-level one). A bad reference, a ``level_aliases`` target
-    outside ``LEVELS``, a constant that holds a tab, ``\\n`` or ``\\r`` (it
-    would split its rows-file line), a source, label, kind or
-    ``native_speaker`` constant that its alias table rejects, a missing or
-    empty ``worker_id``, a ``columns`` below the largest index, or a JSON value
-    of the wrong type raises FormatError here, not on every line. Unknown keys
-    are ignored.
+    takes the top-level one), and a source, kind, level, dialect or
+    ``native_speaker`` constant becomes its canonical label, which looks up
+    to itself on every line, through the lookup its cells take, at place
+    ``sentence block <i>`` or ``column map``. A bad reference or label, a
+    ``level_aliases`` target outside ``LEVELS`` or one that renames a level,
+    a constant that holds a tab, ``\\n`` or ``\\r`` (it would split its
+    rows-file line), a missing or empty ``worker_id``, a ``columns`` below the
+    largest index, or a JSON value of the wrong type raises FormatError here,
+    not on every line. Unknown keys are ignored.
     """
 
     def __init__(self, raw: dict):
@@ -166,47 +174,39 @@ class ColumnMapConfig:
             if level not in LEVELS:
                 raise FormatError("level alias %r: unknown level %r" % (alias, level))
             self.level_aliases[alias.lower()] = level
-        self.annotator = tuple(
+        for level in LEVELS:  # a kept constant must look up to itself
+            if self.level_aliases[level.lower()] != level:
+                raise FormatError("level alias %r renames level %r" % (level.lower(), level))
+        worker_id, residence, native, best_dialect = (
             _resolve(raw.get(f), repr(f))
             for f in ("worker_id", "residence", "native_speaker", "best_dialect")
         )
-        worker_id, _, native, _ = self.annotator
         if worker_id == "":
             raise FormatError("column map field 'worker_id' is missing or empty")
-        if isinstance(native, str) and native.strip().lower() not in NATIVE_ALIASES:
-            raise FormatError("column map field 'native_speaker' has unknown value %r"
-                              % native)
+        if isinstance(native, str):
+            native = _label(NATIVE_ALIASES, native, "native_speaker", "column map", ())
+        self.annotator = (worker_id, residence, native, best_dialect)
         self.blocks = []
         for i, block in enumerate(sentences):
             if not isinstance(block, dict):
                 raise FormatError("sentence block %d must be an object, got %r" % (i, block))
             for field in ("text", "level", "kind"):
                 if field not in block:
-                    raise FormatError(
-                        "sentence block %d is missing the %r field" % (i, field)
-                    )
+                    raise FormatError("sentence block %d is missing the %r field" % (i, field))
             if "source" not in block and "source" not in raw:
-                raise FormatError(
-                    "sentence block %d has no 'source' and no top-level default" % i
-                )
+                raise FormatError("sentence block %d has no 'source' and no top-level "
+                                  "default" % i)
             block = {"source": raw.get("source"), **block}
-            refs = tuple(
+            refs = [
                 _resolve(block.get(f), "%r of sentence block %d" % (f, i))
                 for f in ("source", "article_id", "kind", "level", "dialect", "text")
-            )
-            source, _, kind, level, dialect, _ = refs
-            for token, aliases, what in (
-                (source, SOURCE_ALIASES, "source"),
-                (level, self.level_aliases, "level label"),
-                (dialect, DIALECT_ALIASES, "dialect label"),
-            ):
-                if isinstance(token, str) and token.strip().lower() not in aliases:
-                    raise FormatError(
-                        "sentence block %d has unknown %s %r" % (i, what, token)
-                    )
-            if isinstance(kind, str) and kind.lower() not in KIND_ALIASES:
-                raise FormatError("sentence block %d has unknown kind %r" % (i, kind))
-            self.blocks.append(refs)
+            ]
+            for j, field, table in ((0, "source", SOURCE_ALIASES), (2, "kind", KIND_ALIASES),
+                                    (3, "level", self.level_aliases),
+                                    (4, "dialect", DIALECT_ALIASES)):
+                if isinstance(refs[j], str):
+                    refs[j] = _label(table, refs[j], field, "sentence block %d", i)
+            self.blocks.append(tuple(refs))
         indices = [r for r in self.annotator + sum(self.blocks, ()) if isinstance(r, int)]
         self.min_columns = 1 + max(indices, default=-1)
         self.columns: int | None = raw.get("columns")
@@ -254,61 +254,45 @@ def _values(cells: list[str], refs: tuple[int | str, ...]) -> list[str]:
     return [ref if isinstance(ref, str) else cells[ref].strip() for ref in refs]
 
 
-def parse_label(token: str, aliases: dict[str, str], what: str, lineno: int) -> str:
-    """The canonical label of ``token``; ``what`` names its kind in the error."""
+def _label(aliases: dict[str, str], token: str, field: str, place: str, args) -> str:
+    """The canonical label of ``token`` in ``aliases``. A miss raises
+    ``<place> has unknown <field> <token>``, formatting ``place % args`` only then."""
     label = aliases.get(token.strip().lower())
     if label is None:
-        raise FormatError("unknown %s %r at line %d" % (what, token, lineno))
+        raise FormatError("%s has unknown %s %r" % (place % args, field, token))
     return label
 
 
-def _parse_native(token: str, lineno: int) -> str:
-    token = token.strip().lower()
-    if token not in NATIVE_ALIASES:
-        raise FormatError("line %d: unknown native_speaker value %r" % (lineno, token))
-    return NATIVE_ALIASES[token]
-
-
-def _parse_hit_line(
-    cells: list[str], cmap: ColumnMapConfig, lineno: int
-) -> tuple[AnnotationRow, ...]:
-    if cmap.columns is not None and len(cells) != cmap.columns:
-        raise FormatError(
-            "line %d: expected %d columns, found %d" % (lineno, cmap.columns, len(cells))
-        )
-    if len(cells) < cmap.min_columns:
-        raise FormatError(
-            "line %d: expected at least %d columns, found %d"
-            % (lineno, cmap.min_columns, len(cells))
-        )
+def _parse_hit_line(path: str | Path, lineno: int, cells: list[str],
+                    cmap: ColumnMapConfig) -> tuple[AnnotationRow, ...]:
+    if cmap.columns is not None:
+        check_width(path, lineno, cells, cmap.columns)
+    elif len(cells) < cmap.min_columns:
+        raise FormatError("%s: line %d has %d columns, expected at least %d"
+                          % (path, lineno, len(cells), cmap.min_columns))
+    at = (path, lineno)
     worker_id, residence, native, best_dialect = _values(cells, cmap.annotator)
     if not worker_id:
-        raise FormatError("line %d: empty worker_id" % lineno)
-    annotator = (worker_id, residence, _parse_native(native, lineno), best_dialect)
+        raise FormatError("%s: line %d has an empty worker_id" % at)
+    native = _label(NATIVE_ALIASES, native, "native_speaker", "%s: line %d", at)
 
     rows = []
-    for i, refs in enumerate(cmap.blocks):
+    for refs in cmap.blocks:
         source, article_id, kind, level, dialect, text = _values(cells, refs)
-        source = parse_label(source, SOURCE_ALIASES, "source", lineno)
-        kind = KIND_ALIASES.get(kind_token := kind.lower())
-        if kind is None:
-            raise FormatError(
-                "line %d: sentence block %d has unknown kind %r" % (lineno, i, kind_token)
-            )
-        level = parse_label(level, cmap.level_aliases, "level label", lineno)
+        source = _label(SOURCE_ALIASES, source, "source", "%s: line %d", at)
+        kind = _label(KIND_ALIASES, kind, "kind", "%s: line %d", at)
+        level = _label(cmap.level_aliases, level, "level", "%s: line %d", at)
         # An MSA row drops its dialect, but only after the token is checked.
-        dialect = parse_label(dialect, DIALECT_ALIASES, "dialect label", lineno)
+        dialect = _label(DIALECT_ALIASES, dialect, "dialect", "%s: line %d", at)
         rows.append(AnnotationRow(
             source, article_id, kind, level, "" if level == "MSA" else dialect,
-            *annotator, text,
+            worker_id, residence, native, best_dialect, text,
         ))
 
     controls = sum(1 for r in rows if r.kind == "control")
     if controls != CONTROLS_PER_HIT:
-        raise FormatError(
-            "line %d: expected %d control cells, found %d"
-            % (lineno, CONTROLS_PER_HIT, controls)
-        )
+        raise FormatError("%s: line %d has %d control cells, expected %d"
+                          % (path, lineno, controls, CONTROLS_PER_HIT))
     return tuple(rows)
 
 
@@ -319,12 +303,13 @@ def parse_hit_file(
 ) -> Iterator[tuple[AnnotationRow, ...]]:
     """Yield the 12 rows of each well-formed line of a tab-separated HIT export.
 
-    Without ``skipped`` any malformed line raises FormatError (with its line
-    number); with a list the line is skipped and its message appended.
+    Without ``skipped`` any malformed line raises FormatError, whose message
+    begins ``<path>: line <N> has``; with a list the line is skipped and its
+    message appended.
     """
     for lineno, cells in numbered_cells(path):
         try:
-            yield _parse_hit_line(cells, column_map, lineno)
+            yield _parse_hit_line(path, lineno, cells, column_map)
         except FormatError as exc:
             if skipped is None:
                 raise

@@ -14,7 +14,8 @@ files it reads and writes, and its one manifest, or else ``<out>.manifest.json``
 beside each output ``<out>``. Made before the first read, the run takes the
 :func:`timestamp`, so an unreadable SOURCE_DATE_EPOCH is refused while every
 old output is whole, and it refuses an output or manifest that resolves to an
-input or to another output or manifest. A run with no outputs does neither.
+input or to another output or manifest, or that lies under a file that is no
+directory (NotADirectoryError). A run with no outputs does none of this.
 ``close(seed, **counts)`` writes each manifest: the command line, sha256
 digests of the inputs, the seed, the tool version, the timestamp (from
 SOURCE_DATE_EPOCH if set, so reruns match byte for byte) and the counts.
@@ -22,6 +23,7 @@ SOURCE_DATE_EPOCH if set, so reruns match byte for byte) and the counts.
 
 from __future__ import annotations
 
+import errno
 import filecmp
 import hashlib
 import json
@@ -121,6 +123,12 @@ class Run:
                 if key in seen:
                     raise FormatError("%s is the same file as %s" % (name, seen[key]))
                 seen[key] = name
+                parent = os.path.dirname(os.path.abspath(path))
+                while not os.path.exists(parent):
+                    parent = os.path.dirname(parent)
+                if not os.path.isdir(parent):
+                    raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                             os.fspath(path))
 
     def close(self, seed: int | None = None, **counts) -> None:
         """Write each manifest of the run."""

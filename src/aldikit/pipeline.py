@@ -52,12 +52,15 @@ def run_ingest(
     skipped: list[str] = []
     per_source: Counter = Counter()
 
-    def rows():
+    def rows():  # raises before its end on no HIT, so no rows file is left
         for hit in ingest_mod.parse_hit_file(
             hit_path, cmap, None if strict else skipped
         ):
             per_source.update(row.source for row in hit)
             yield from hit
+        if not per_source:
+            lenient = "" if strict else " (skipped %d malformed line(s))" % len(skipped)
+            raise FormatError("%s contains no HITs%s" % (hit_path, lenient))
 
     ingest_mod.write_rows(rows(), out_path)
     row_count = sum(per_source.values())

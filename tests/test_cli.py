@@ -124,7 +124,7 @@ def test_ingest_column_map_fault_exits_2_at_load(
 @pytest.mark.parametrize(
     "field, value, message",
     [("residence", "Amman\tJO", "field 'residence' has a tab or line break"),
-     ("native_speaker", "maybe", "field 'native_speaker' has unknown value 'maybe'")],
+     ("native_speaker", "maybe", "column map has unknown native_speaker 'maybe'")],
     ids=["residence-tab", "native-maybe"],
 )
 def test_ingest_refuses_a_constant_its_rows_file_cannot_hold(
@@ -151,6 +151,23 @@ def test_ingest_structural_error_strict_vs_lenient(tmp_path, capsys):
     path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
     assert run(["ingest", path, "-o", tmp_path / "o.tsv"]) == 2
     assert run(["ingest", path, "--lenient", "-o", tmp_path / "o.tsv"]) == 0
+
+
+@pytest.mark.parametrize(
+    "lines, lenient, suffix",
+    [([], False, ""), ([], True, " (skipped 0 malformed line(s))"),
+     ([make_hit_line(native="maybe"), make_hit_line(worker=" ")], True,
+      " (skipped 2 malformed line(s))")],
+    ids=["empty-strict", "empty-lenient", "all-skipped"],
+)
+def test_ingest_refuses_an_export_with_no_hit(tmp_path, capsys, lines, lenient, suffix):
+    hits = tmp_path / "hits.tsv"
+    hits.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    out = tmp_path / "rows.tsv"
+    argv = ["ingest", hits, "-o", out] + (["--lenient"] if lenient else [])
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: %s contains no HITs%s\n" % (hits, suffix)
+    assert sorted(os.listdir(tmp_path)) == ["hits.tsv"]
 
 
 def test_failed_ingest_rerun_leaves_the_old_rows_and_manifest(tmp_path, capsys):
@@ -418,6 +435,29 @@ def test_an_output_that_is_an_input_or_a_manifest_exits_2_and_writes_nothing(
     assert run(argv) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
     # every file keeps its bytes, inode and mtime, and none is added
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["build-dataset", "B", "-o", "X"], "X/dataset.tsv"),
+        (["speech", "B", "--mode", "p", "--estimator", "lexicon", "--lexicon", "B",
+          "-o", "X/a.csv"], "X/a.csv"),
+        (["build-lexicon", "B", "-o", "X/lex.txt"], "X/lex.txt"),
+    ],
+    ids=["build-dataset", "speech", "build-lexicon"],
+)
+def test_an_output_under_a_file_exits_1_before_the_first_read(
+    tmp_path, monkeypatch, capsys, argv, path
+):
+    # B is no UTF-8, so a command that read it would exit 2
+    monkeypatch.chdir(tmp_path)
+    Path("B").write_bytes(b"\xff\n")
+    Path("X").write_text("a file\n", encoding="utf-8")
+    before = _tree(tmp_path)
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "i/o error: [Errno 20] Not a directory: %r\n" % path
     assert _tree(tmp_path) == before
 
 
@@ -750,6 +790,22 @@ def test_evaluate_reports_the_first_faulty_row(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(message + "\n")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("split", [[], ["--split", "test"]], ids=["all", "test"])
+def test_evaluate_refuses_a_prediction_id_that_is_no_gold_row(tmp_path, capsys, split):
+    out_dir = tmp_path / "out"
+    run(["build-dataset", make_rows_fixture(tmp_path), "--seed", "5", "-o", out_dir])
+    gold = out_dir / "dataset.tsv"
+    rows = len(gold.read_text(encoding="utf-8").splitlines()) - 1
+    preds = tmp_path / "preds.tsv"
+    lines = ["%d\t0.5\n" % i for i in range(1, rows + 1)] + ["99999\t0.5\n", "0\t0.1\n"]
+    preds.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["evaluate", "--gold", gold, "--pred", preds, *split]) == 2
+    assert capsys.readouterr().err == (
+        "error: %s: id 99999 is not a row of %s\n" % (preds, gold)
+    )
 
 
 def test_score_and_evaluate_ids_skip_blank_dataset_lines(tmp_path, capsys):
@@ -1269,8 +1325,10 @@ def test_an_empty_estimator_input_names_the_flag_the_command_declares(
         ["speech", "T.html", "--mode", "p", "--estimator", "binary-di",
          "--labels", "DI"],
         ["contrastive", _PAIRS_FILE, "--di-labels", "DI"],
+        ["speech", "T.html", "--mode", "p", "--estimator", "lexicon", "--lexicon",
+         DATA_DIR / "contrastive_lexicon.txt", "--di-labels-file", "DI"],
     ],
-    ids=["score", "speech", "contrastive"],
+    ids=["score", "speech", "contrastive", "speech-di-labels-file"],
 )
 def test_an_unknown_di_label_is_named_by_its_file_line(
     tmp_path, monkeypatch, capsys, argv
@@ -1283,6 +1341,28 @@ def test_an_unknown_di_label_is_named_by_its_file_line(
     assert capsys.readouterr().err == (
         "error: DI: line 3 has unknown sentence-DI label 'XYZ'\n"
     )
+
+
+def test_speech_di_labels_file_gives_the_series_of_its_labels(tmp_path, monkeypatch):
+    from aldikit import speech
+    from aldikit.svgplot import emit_plot
+
+    monkeypatch.chdir(tmp_path)
+    Path("T.html").write_text(
+        "<p>الحقيقة اتقالت</p><p>قيلت الحقيقة</p><p>قال الولد</p>", encoding="utf-8")
+    Path("DI").write_text("msa\n\n EGY \nMSA\n", encoding="utf-8")
+    lexicon = DATA_DIR / "contrastive_lexicon.txt"
+    assert run(["speech", "T.html", "--mode", "p", "--estimator", "lexicon", "--lexicon",
+                lexicon, "--di-labels-file", "DI", "-o", "a.csv", "--plot", "a.svg"]) == 0
+    # the bytes of the series with the file's stripped non-blank lines as labels
+    estimator = estimators.LexiconEstimator(estimators.load_lexicon(lexicon))
+    sentences = speech.segment_html_file("T.html", "p")
+    series = speech.score_series("T", sentences, estimator, ["msa", "EGY", "MSA"])
+    speech.write_series_csv(series, "b.csv")
+    emit_plot(series, "b.svg")
+    assert Path("a.csv").read_bytes() == Path("b.csv").read_bytes()
+    assert Path("a.svg").read_bytes() == Path("b.svg").read_bytes()
+    assert "EGY" in Path("a.csv").read_text(encoding="utf-8")
 
 
 def test_score_json_and_stdout(tmp_path, capsys):

@@ -73,12 +73,47 @@ def test_unknown_native_speaker_rejected_or_skipped(tmp_path, default_cmap):
         make_hit_line("hit1", "w1", native="maybe") + "\n" + make_hit_line() + "\n",
         encoding="utf-8",
     )
-    with pytest.raises(FormatError, match="line 1: unknown native_speaker value 'maybe'"):
+    message = "%s: line 1 has unknown native_speaker 'maybe'" % path
+    with pytest.raises(FormatError, match="^%s$" % re.escape(message)):
         list(ingest.parse_hit_file(path, default_cmap))
     log = []
     hits = list(ingest.parse_hit_file(path, default_cmap, skipped=log))
     assert len(hits) == 1
     assert len(log) == 1 and "line 1" in log[0]
+
+
+def _with(cells, column, value):
+    cells = list(cells)
+    cells[column] = value
+    return cells
+
+
+@pytest.mark.parametrize(
+    "columns, edit, fault",
+    [
+        (77, lambda c: c[:-1], "has 76 columns, expected 77"),
+        (77, lambda c: c + ["x"], "has 78 columns, expected 77"),
+        (None, lambda c: c[:-1], "has 76 columns, expected at least 77"),
+        (77, lambda c: _with(c, 1, " "), "has an empty worker_id"),
+        (77, lambda c: _with(c, 3, "maybe"), "has unknown native_speaker 'maybe'"),
+        (77, lambda c: _with(c, 11, "Bogus"), "has unknown source 'Bogus'"),
+        (77, lambda c: _with(c, 13, " x "), "has unknown kind 'x'"),
+        (77, lambda c: _with(c, 15, "WAT"), "has unknown level 'WAT'"),
+        (77, lambda c: _with(c, 16, "XYZ"), "has unknown dialect 'XYZ'"),
+        (77, lambda c: _with(c, 13, "control"), "has 3 control cells, expected 2"),
+    ],
+    ids=["short", "long", "short-no-columns", "worker", "native", "source", "kind",
+         "level", "dialect", "controls"],
+)
+def test_every_hit_line_fault_names_its_file_and_line(tmp_path, columns, edit, fault):
+    raw = _default_map()
+    raw["columns"] = columns
+    path = tmp_path / "hits.tsv"
+    bad = "\t".join(edit(make_hit_line().split("\t")))
+    path.write_text("\n".join([make_hit_line(), "", bad]) + "\n", encoding="utf-8")
+    message = "%s: line 3 %s" % (path, fault)
+    with pytest.raises(FormatError, match="^%s$" % re.escape(message)):
+        list(ingest.parse_hit_file(path, ingest.ColumnMapConfig(raw)))
 
 
 def test_control_count_enforced(tmp_path, default_cmap):
@@ -89,13 +124,21 @@ def test_control_count_enforced(tmp_path, default_cmap):
         list(ingest.parse_hit_file(path, default_cmap))
 
 
-def test_level_aliases():
-    aliases = dict(ingest.LEVEL_ALIASES)
-    assert ingest.parse_label("mostly dialectal", aliases, "level label", 1) == "Most"
-    assert ingest.parse_label("MSA", aliases, "level label", 1) == "MSA"
-    assert ingest.parse_label("", aliases, "level label", 1) == "Missing"
-    with pytest.raises(FormatError, match="unknown level label 'WAT' at line 4"):
-        ingest.parse_label("WAT", aliases, "level label", 4)
+def test_level_aliases(tmp_path, default_cmap):
+    spellings = {2: "mostly dialectal", 3: " MSA ", 4: ""}
+    cells = cells_with({
+        i: ("AlGhad", "art1", "comment", "نص", level, "EGY")
+        for i, level in spellings.items()
+    })
+    path = tmp_path / "hits.tsv"
+    lines = [make_hit_line(cells=cells)] * 3
+    lines.append(make_hit_line(cells=cells_with({5: cells[5][:4] + ("WAT", "")})))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    hits = ingest.parse_hit_file(path, default_cmap)
+    assert [next(hits)[i].level for i in spellings] == ["Most", "MSA", "Missing"]
+    message = "%s: line 4 has unknown level 'WAT'" % path
+    with pytest.raises(FormatError, match="^%s$" % re.escape(message)):
+        list(hits)
 
 
 def test_msa_rows_drop_dialect(tmp_path, default_cmap):
@@ -184,7 +227,7 @@ def test_column_map_kind_value_and_column():
         )
     cmap = ingest.ColumnMapConfig({"worker_id": 0, "sentences": blocks})
     line = "\t".join(["w"] + ["نص %d" % i for i in range(12)])
-    hit = ingest._parse_hit_line(line.split("\t"), cmap, lineno=1)
+    hit = ingest._parse_hit_line("hits.tsv", 1, line.split("\t"), cmap)
     assert [s.kind for s in hit].count("control") == 2
 
 
@@ -297,9 +340,9 @@ def _default_map() -> dict:
         ({"level": {}}, "unusable reference None"),
         ({"source": {"value": "Bogus"}}, "sentence block 0 has unknown source 'Bogus'"),
         ({"source": None}, "sentence block 0 has unknown source ''"),
-        ({"level": {"value": "mostly?"}}, "unknown level label 'mostly?'"),
-        ({"dialect": {"value": "XYZ"}}, "unknown dialect label 'XYZ'"),
-        ({"kind": {"value": " control"}}, "unknown kind ' control'"),
+        ({"level": {"value": "mostly?"}}, "sentence block 0 has unknown level 'mostly?'"),
+        ({"dialect": {"value": "XYZ"}}, "sentence block 0 has unknown dialect 'XYZ'"),
+        ({"kind": {"value": "contrl"}}, "sentence block 0 has unknown kind 'contrl'"),
         (7, "sentence block 0 must be an object, got 7"),
         (["text", 8], "sentence block 0 must be an object, got ['text', 8]"),
         ({"article_id": {"value": "a\tb"}},
@@ -344,13 +387,14 @@ def test_column_map_block_faults_raise_at_load(edit, message):
         ({"worker_id": {"value": "w1\r"}},
          "field 'worker_id' has a tab or line break in its constant 'w1\\r'"),
         ({"native_speaker": {"value": "maybe"}},
-         "field 'native_speaker' has unknown value 'maybe'"),
+         "column map has unknown native_speaker 'maybe'"),
+        ({"level_aliases": {"MSA": "Most"}}, "level alias 'msa' renames level 'MSA'"),
     ],
     ids=["worker-bool", "residence-str", "alias-bogus", "alias-lowercase",
          "columns-str", "columns-bool", "columns-too-few", "columns-float",
          "aliases-list", "aliases-null", "worker-empty-const", "worker-null",
          "map-list", "map-str", "residence-tab-const", "worker-newline-const",
-         "worker-cr-const", "native-const"],
+         "worker-cr-const", "native-const", "alias-renames-level"],
 )
 def test_column_map_top_level_faults_raise_at_load(edit, message):
     """``edit`` is merged into the default map, or replaces it if not a dict."""
@@ -358,6 +402,22 @@ def test_column_map_top_level_faults_raise_at_load(edit, message):
     raw = {**raw, **edit} if isinstance(edit, dict) else edit
     with pytest.raises(FormatError, match=re.escape(message)):
         ingest.ColumnMapConfig(raw)
+
+
+def test_column_map_constants_are_kept_as_canonical_labels(tmp_path):
+    # each constant takes the lookup its cells take, once, at load
+    raw = _default_map()
+    raw["native_speaker"] = {"value": " Y "}
+    raw["sentences"][0].update(source={"value": " Riyadh "}, kind={"value": " control"},
+                               level={"value": "MOSTLY"}, dialect={"value": "gulf "})
+    cmap = ingest.ColumnMapConfig(raw)
+    assert cmap.annotator[2] == "yes"
+    assert cmap.blocks[0][:5] == ("AlRiyadh", 6, "control", "Most", "GLF")
+    path = tmp_path / "hits.tsv"
+    path.write_text(make_hit_line() + "\n", encoding="utf-8")
+    row = next(ingest.parse_hit_file(path, cmap))[0]
+    assert (row.source, row.kind, row.level, row.dialect, row.native_speaker) == (
+        "AlRiyadh", "control", "Most", "GLF", "yes")
 
 
 def test_column_map_resolves_references_once():
@@ -465,7 +525,7 @@ def test_column_map_fuzz_raises_only_format_error():
             outcomes["load"] += 1
             continue
         try:
-            ingest._parse_hit_line(cells, cmap, 1)
+            ingest._parse_hit_line("hits.tsv", 1, cells, cmap)
             outcomes["rows"] += 1
         except FormatError:
             outcomes["line"] += 1
@@ -571,10 +631,10 @@ def _oracle_cell(ref, cells, lineno, field):
     raise FormatError("column map field %r has unusable reference %r" % (field, ref))
 
 
-def _oracle_label(token, aliases, what, lineno):
+def _oracle_label(token, aliases, field, path, lineno):
     label = aliases.get(token.strip().lower())
     if label is None:
-        raise FormatError("unknown %s %r at line %d" % (what, token, lineno))
+        raise FormatError("%s: line %d has unknown %s %r" % (path, lineno, field, token))
     return label
 
 
@@ -590,48 +650,47 @@ def _oracle_indices(node):
             yield from _oracle_indices(sub)
 
 
-def oracle_parse_hit_line(cells, raw, lineno):
+def oracle_parse_hit_line(path, lineno, cells, raw):
     """The HIT line parser as it was: it reads the raw JSON map for every cell."""
     columns = raw.get("columns")
     if columns is not None and len(cells) != columns:
-        raise FormatError(
-            "line %d: expected %d columns, found %d" % (lineno, columns, len(cells))
-        )
+        raise FormatError("%s: line %d has %d columns, expected %d"
+                          % (path, lineno, len(cells), columns))
     min_columns = 1 + max(_oracle_indices(raw))
     if len(cells) < min_columns:
-        raise FormatError(
-            "line %d: expected at least %d columns, found %d"
-            % (lineno, min_columns, len(cells))
-        )
+        raise FormatError("%s: line %d has %d columns, expected at least %d"
+                          % (path, lineno, len(cells), min_columns))
     level_aliases = dict(ingest.LEVEL_ALIASES)
     level_aliases.update({k.lower(): v for k, v in raw.get("level_aliases", {}).items()})
     worker_id = _oracle_cell(raw.get("worker_id"), cells, lineno, "worker_id")
     if not worker_id:
-        raise FormatError("line %d: empty worker_id" % lineno)
+        raise FormatError("%s: line %d has an empty worker_id" % (path, lineno))
     residence = _oracle_cell(raw.get("residence"), cells, lineno, "residence")
-    native = ingest._parse_native(
-        _oracle_cell(raw.get("native_speaker"), cells, lineno, "native_speaker"), lineno
+    native = _oracle_label(
+        _oracle_cell(raw.get("native_speaker"), cells, lineno, "native_speaker"),
+        {"yes": "yes", "y": "yes", "true": "yes", "1": "yes",
+         "no": "no", "n": "no", "false": "no", "0": "no",
+         "": "", "na": "", "n/a": "", "none": ""},
+        "native_speaker", path, lineno,
     )
     best = _oracle_cell(raw.get("best_dialect"), cells, lineno, "best_dialect")
     rows = []
-    for i, block in enumerate(raw["sentences"]):
+    for block in raw["sentences"]:
         source = _oracle_label(
             _oracle_cell(block.get("source", raw.get("source")), cells, lineno, "source"),
-            ingest.SOURCE_ALIASES, "source", lineno,
+            ingest.SOURCE_ALIASES, "source", path, lineno,
         )
-        kind_token = _oracle_cell(block["kind"], cells, lineno, "kind").lower()
-        kind = ingest.KIND_ALIASES.get(kind_token)
-        if kind is None:
-            raise FormatError(
-                "line %d: sentence block %d has unknown kind %r" % (lineno, i, kind_token)
-            )
+        kind = _oracle_label(
+            _oracle_cell(block["kind"], cells, lineno, "kind"),
+            ingest.KIND_ALIASES, "kind", path, lineno,
+        )
         level = _oracle_label(
             _oracle_cell(block["level"], cells, lineno, "level"),
-            level_aliases, "level label", lineno,
+            level_aliases, "level", path, lineno,
         )
         dialect = _oracle_label(
             _oracle_cell(block.get("dialect"), cells, lineno, "dialect"),
-            ingest.DIALECT_ALIASES, "dialect label", lineno,
+            ingest.DIALECT_ALIASES, "dialect", path, lineno,
         )
         if level == "MSA":
             dialect = ""
@@ -642,10 +701,8 @@ def oracle_parse_hit_line(cells, raw, lineno):
         ))
     controls = sum(1 for r in rows if r.kind == "control")
     if controls != ingest.CONTROLS_PER_HIT:
-        raise FormatError(
-            "line %d: expected %d control cells, found %d"
-            % (lineno, ingest.CONTROLS_PER_HIT, controls)
-        )
+        raise FormatError("%s: line %d has %d control cells, expected %d"
+                          % (path, lineno, controls, ingest.CONTROLS_PER_HIT))
     return tuple(rows)
 
 
@@ -763,7 +820,8 @@ def test_parser_matches_oracle_on_random_maps():
         cmap = ingest.ColumnMapConfig(random_map.raw)
         for lineno in range(1, 4):
             cells = random_map.line(mutate=rng.random() < 0.4)
-            expected = _outcome(oracle_parse_hit_line, cells, random_map.raw, lineno)
-            assert _outcome(ingest._parse_hit_line, cells, cmap, lineno) == expected
+            args = ("hits%d.tsv" % case, lineno, cells)
+            expected = _outcome(oracle_parse_hit_line, *args, random_map.raw)
+            assert _outcome(ingest._parse_hit_line, *args, cmap) == expected
             outcomes.add(expected.split(":")[0] if isinstance(expected, str) else "rows")
     assert outcomes == {"rows", "FormatError"}
