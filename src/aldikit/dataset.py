@@ -31,13 +31,15 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import textnorm
-from .errors import AldiError, FormatError, numbered_cells, text_cell
+from .errors import AldiError, FormatError, label, numbered_cells, text_cell
 from .ingest import AnnotationRow, LEVELS
 
 # ordinal level -> its dialectness in thirds (Little is 1/3)
 LEVEL_THIRDS = {"MSA": 0, "Little": 1, "Mixed": 2, "Most": 3}
 
 UNUSABLE_LEVELS = ("NotArabic", "Missing")
+
+_SPLITS = {split: split for split in ("train", "dev", "test")}
 
 DISCARD_CATEGORIES = (
     "UrlOrEmail",
@@ -253,11 +255,7 @@ def load_assignment(path: str | Path) -> dict[tuple[str, str] | str, str]:
             key = cells[0]
         else:
             raise FormatError("%s: line %d must have 2 or 3 columns" % (path, lineno))
-        split = cells[-1].strip().lower()
-        if split not in ("train", "dev", "test"):
-            raise FormatError(
-                "%s: line %d has unknown split %r" % (path, lineno, cells[-1])
-            )
+        split = label(_SPLITS, cells[-1], "split", "%s: line %d", (path, lineno))
         earlier = assignment.setdefault(key, split)
         if earlier != split:
             raise FormatError(
@@ -461,7 +459,7 @@ def render_stats_text(stats: dict) -> str:
     if stats["splits"]:
         lines.append("")
         lines.append("Split counts (groups)")
-        for split in ("train", "dev", "test"):
+        for split in _SPLITS:
             if split not in stats["splits"]:
                 continue
             for source, kinds in stats["splits"][split].items():

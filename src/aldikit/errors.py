@@ -1,5 +1,7 @@
-"""Exception hierarchy shared across the toolkit, and the line reader that
-every tab-separated input format is parsed from.
+"""Exception hierarchy shared across the toolkit, the line reader that
+every tab-separated input format is parsed from, and :func:`label`, the one
+check of a closed-vocabulary token in an input file: a HIT or column-map
+label, a split, a token tag or a sentence-DI label.
 
 The CLI maps these onto exit codes: I/O problems exit 1 (plain OSError),
 format/validation problems exit 2, external-scorer protocol problems exit 3.
@@ -42,3 +44,13 @@ def check_width(path: str | os.PathLike, lineno: int, cells: list[str], width: i
     if len(cells) != width:
         message = "%s: line %d has %d columns, expected %d"
         raise FormatError(message % (path, lineno, len(cells), width))
+
+
+def label(aliases: dict[str, str], token: str, field: str, place: str, args) -> str:
+    """The canonical label of ``token`` in ``aliases``, keyed on stripped,
+    lower-cased spellings. A miss raises ``<place> has unknown <field> <token>``,
+    formatting ``place % args`` only then."""
+    canonical = aliases.get(token.strip().lower())
+    if canonical is None:
+        raise FormatError("%s has unknown %s %r" % (place % args, field, token))
+    return canonical

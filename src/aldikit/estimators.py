@@ -5,8 +5,8 @@ Four estimators, all emitting scores in [0, 1]:
 - lexicon: fraction of a sentence's tokens not found in a standard-language
   lexicon (built from a large MSA corpus with a frequency threshold),
 - binary-di: 0 for a sentence labeled MSA by an external sentence-level
-  dialect identifier, 1 for anything else (labels come from a file; the
-  classifier itself is out of scope),
+  dialect identifier, 1 for anything else (labels come from a file, held
+  canonical: ``egy`` is ``EGY``; the classifier itself is out of scope),
 - cmi: code-mixing index over per-token dialect tags,
   n_egy / (n_egy + n_msa), 0 when neither tag occurs,
 - external: arbitrary scorer process speaking a newline protocol
@@ -14,6 +14,9 @@ Four estimators, all emitting scores in [0, 1]:
 
 The first three cannot leave [0, 1], so their scores are returned as
 computed; only an external scorer's output is clipped.
+
+Token tags and sentence-DI labels are read through
+:func:`aldikit.errors.label`, the one check of a closed vocabulary.
 
 A lexicon is the frozenset of its tokens. Membership is checked on
 normalized tokens (diacritics stripped): large MSA corpora are mostly
@@ -31,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from . import textnorm
-from .errors import FormatError, ProtocolError, numbered_cells
+from .errors import FormatError, ProtocolError, check_width, label as _label, numbered_cells
 from .manifest import write_output
 
 TOKEN_TAGS = ("MSA", "EGY", "NamedEntity", "Ambiguous", "Mixed", "Other")
@@ -49,10 +52,10 @@ _TAG_ALIASES = {
     "other": "Other",
 }
 
-# Sentence-DI label files may use any of these; MSA maps to 0, the rest to 1.
-KNOWN_DI_LABELS = frozenset(
-    {"MSA", "EGY", "LEV", "GLF", "MAG", "IRQ", "GEN", "TUN", "MOR", "MGR", "DA"}
-)
+# Sentence-DI labels, in any case; MSA maps to 0, the rest to 1.
+_DI_LABELS = {di.lower(): di for di in
+              ("MSA", "EGY", "LEV", "GLF", "MAG", "IRQ", "GEN", "TUN", "MOR", "MGR", "DA")}
+KNOWN_DI_LABELS = frozenset(_DI_LABELS.values())
 
 LEXICON_MAGIC = "#aldi-lexicon v1"
 
@@ -93,7 +96,8 @@ def save_lexicon(lexicon: frozenset[str], min_count: int, path: str | Path) -> N
 
 def load_lexicon(path: str | Path) -> frozenset[str]:
     """The tokens of a lexicon file; its header's ``min_count``, if present,
-    must be an integer."""
+    must be an integer. A line holds a token, or a token and the count that a
+    lexicon built elsewhere may carry."""
     lines = numbered_cells(path)
     lineno, cells = next(lines, (0, []))
     header = "\t".join(cells)
@@ -105,7 +109,11 @@ def load_lexicon(path: str | Path) -> frozenset[str]:
                 int(part.split("=", 1)[1])
             except ValueError:
                 raise FormatError("%s: unreadable min_count" % path) from None
-    tokens = frozenset(cells[0] for _, cells in lines)
+    tokens = frozenset(
+        cells[0] for lineno, cells in lines
+        if len(cells) == 1 or (len(cells) == 2 and cells[0] and cells[1].isdecimal())
+        or check_width(path, lineno, cells, 1)  # refuses any other line
+    )
     if not tokens:
         raise FormatError("%s: lexicon holds no tokens" % path)
     return tokens
@@ -121,11 +129,9 @@ def lexicon_score(sentence: str, lexicon: frozenset[str]) -> float:
 
 
 def binary_di_score(label: str) -> float:
-    """0 for MSA, 1 for any other dialect label."""
-    token = label.strip()
-    if not token or token.upper() not in KNOWN_DI_LABELS:
-        raise FormatError("unknown sentence-DI label %r" % label)
-    return 0.0 if token.upper() == "MSA" else 1.0
+    """0 for MSA, 1 for any other sentence-DI label."""
+    canonical = _label(_DI_LABELS, label, "sentence-DI label", "binary-di input", ())
+    return 0.0 if canonical == "MSA" else 1.0
 
 
 def cmi_score(tags: Sequence[str]) -> float:
@@ -154,9 +160,7 @@ def read_token_tag_file(path: str | Path) -> list[list[tuple[str, str]]]:
         if len(cells) != 2:
             raise FormatError("%s: line %d must be 'token<TAB>tag'" % (path, lineno))
         token, raw_tag = cells
-        tag = _TAG_ALIASES.get(raw_tag.strip().lower())
-        if tag is None:
-            raise FormatError("%s: line %d has unknown tag %r" % (path, lineno, raw_tag))
+        tag = _label(_TAG_ALIASES, raw_tag, "tag", "%s: line %d", (path, lineno))
         if lineno != previous + 1:  # a blank line came before: a new sentence
             sentences.append([])
         sentences[-1].append((token, tag))
@@ -171,19 +175,11 @@ def read_label_file(path: str | Path) -> list[str]:
 
 
 def read_di_labels(path: str | Path) -> list[str]:
-    """Sentence-DI labels, one per non-blank line; an unknown label is named
-    by its file line."""
-    labels = []
-    for lineno, cells in numbered_cells(path):
-        label = "\t".join(cells).strip()
-        if not label:
-            continue
-        if label.upper() not in KNOWN_DI_LABELS:
-            raise FormatError(
-                "%s: line %d has unknown sentence-DI label %r" % (path, lineno, label)
-            )
-        labels.append(label)
-    return labels
+    """The canonical sentence-DI label of each non-blank line (``egy`` is
+    ``EGY``); an unknown label is named by its file line."""
+    lines = ((lineno, "\t".join(cells).strip()) for lineno, cells in numbered_cells(path))
+    return [_label(_DI_LABELS, token, "sentence-DI label", "%s: line %d", (path, lineno))
+            for lineno, token in lines if token]
 
 
 def format_score(score: float) -> str:
@@ -192,8 +188,8 @@ def format_score(score: float) -> str:
     return str(dec.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN))
 
 
-def _clip(value: float) -> float:
-    return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
+def _clip(value: float) -> float:  # -0.0 too becomes 0.0, printed as 0.000000
+    return 0.0 if value <= 0.0 else 1.0 if value > 1.0 else value
 
 
 def external_score(

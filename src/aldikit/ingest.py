@@ -13,11 +13,11 @@ file every later command reads. ``build-dataset`` and ``agreement`` stream
 them into comment groups that keep only each annotation's level and dialect
 labels, never the rows themselves.
 
-One lookup checks every label of a HIT export, cell or column-map constant:
-its stripped, lower-cased spelling in the field's alias table. A miss raises
-``<place> has unknown <field> <token>``, the field named as its rows-file
-column; a line's place is ``<path>: line <N>``, which begins every fault of
-a HIT line.
+Every label of a HIT export, cell or column-map constant, goes through
+:func:`aldikit.errors.label`: its stripped, lower-cased spelling in the
+field's alias table. A miss raises ``<place> has unknown <field> <token>``,
+the field named as its rows-file column; a line's place is
+``<path>: line <N>``, which begins every fault of a HIT line.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import FormatError, check_width, numbered_cells, text_cell
+from .errors import FormatError, check_width, label as _label, numbered_cells, text_cell
 
 LEVELS = ("MSA", "Little", "Mixed", "Most", "NotArabic", "Missing")
 DIALECTS = ("EGY", "LEV", "GLF", "MAG", "IRQ", "GEN", "Unfamiliar", "Other")
@@ -148,11 +148,12 @@ class ColumnMapConfig:
     ``native_speaker`` constant becomes its canonical label, which looks up
     to itself on every line, through the lookup its cells take, at place
     ``sentence block <i>`` or ``column map``. A bad reference or label, a
-    ``level_aliases`` target outside ``LEVELS`` or one that renames a level,
-    a constant that holds a tab, ``\\n`` or ``\\r`` (it would split its
-    rows-file line), a missing or empty ``worker_id``, a ``columns`` below the
-    largest index, or a JSON value of the wrong type raises FormatError here,
-    not on every line. Unknown keys are ignored.
+    ``level_aliases`` target outside ``LEVELS`` or a key (stripped and
+    lower-cased, as a cell is) that renames a level or the blank cell, a
+    constant that holds a tab, ``\\n`` or ``\\r`` (it would split its rows-file
+    line), a missing or empty ``worker_id``, a ``columns`` below the largest
+    index, or a JSON value of the wrong type raises FormatError here, not on
+    every line. Unknown keys are ignored.
     """
 
     def __init__(self, raw: dict):
@@ -173,10 +174,11 @@ class ColumnMapConfig:
         for alias, level in aliases.items():
             if level not in LEVELS:
                 raise FormatError("level alias %r: unknown level %r" % (alias, level))
-            self.level_aliases[alias.lower()] = level
-        for level in LEVELS:  # a kept constant must look up to itself
-            if self.level_aliases[level.lower()] != level:
-                raise FormatError("level alias %r renames level %r" % (level.lower(), level))
+            self.level_aliases[alias.strip().lower()] = level  # as a cell is looked up
+        # a kept constant must look up to itself, and a blank cell to Missing
+        for key, level in (*zip(map(str.lower, LEVELS), LEVELS), ("", "Missing")):
+            if self.level_aliases[key] != level:
+                raise FormatError("level alias %r renames level %r" % (key, level))
         worker_id, residence, native, best_dialect = (
             _resolve(raw.get(f), repr(f))
             for f in ("worker_id", "residence", "native_speaker", "best_dialect")
@@ -252,15 +254,6 @@ def _resolve(ref, field: str) -> int | str:
 def _values(cells: list[str], refs: tuple[int | str, ...]) -> list[str]:
     """Each reference's value on one line: its stripped cell, or the constant as is."""
     return [ref if isinstance(ref, str) else cells[ref].strip() for ref in refs]
-
-
-def _label(aliases: dict[str, str], token: str, field: str, place: str, args) -> str:
-    """The canonical label of ``token`` in ``aliases``. A miss raises
-    ``<place> has unknown <field> <token>``, formatting ``place % args`` only then."""
-    label = aliases.get(token.strip().lower())
-    if label is None:
-        raise FormatError("%s has unknown %s %r" % (place % args, field, token))
-    return label
 
 
 def _parse_hit_line(path: str | Path, lineno: int, cells: list[str],

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -1354,15 +1355,18 @@ def test_speech_di_labels_file_gives_the_series_of_its_labels(tmp_path, monkeypa
     lexicon = DATA_DIR / "contrastive_lexicon.txt"
     assert run(["speech", "T.html", "--mode", "p", "--estimator", "lexicon", "--lexicon",
                 lexicon, "--di-labels-file", "DI", "-o", "a.csv", "--plot", "a.svg"]) == 0
-    # the bytes of the series with the file's stripped non-blank lines as labels
+    # the bytes of the series with the canonical label of each non-blank line
     estimator = estimators.LexiconEstimator(estimators.load_lexicon(lexicon))
     sentences = speech.segment_html_file("T.html", "p")
-    series = speech.score_series("T", sentences, estimator, ["msa", "EGY", "MSA"])
+    series = speech.score_series("T", sentences, estimator, ["MSA", "EGY", "MSA"])
     speech.write_series_csv(series, "b.csv")
     emit_plot(series, "b.svg")
     assert Path("a.csv").read_bytes() == Path("b.csv").read_bytes()
     assert Path("a.svg").read_bytes() == Path("b.svg").read_bytes()
     assert "EGY" in Path("a.csv").read_text(encoding="utf-8")
+    # one legend entry per canonical label: msa and MSA are one colour
+    svg = Path("a.svg").read_text(encoding="utf-8")
+    assert re.findall(r'font-size="10">([A-Za-z]+)</text>', svg) == ["EGY", "MSA"]
 
 
 def test_score_json_and_stdout(tmp_path, capsys):
@@ -1378,6 +1382,34 @@ def test_score_json_and_stdout(tmp_path, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out.strip() == "1\t0.250000"
+
+
+def test_an_external_minus_zero_is_written_as_zero(tmp_path, capsys):
+    scorer = "sh -c 'sed s/.*/-0/'"
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("جملة\n", encoding="utf-8")
+    assert run(["score", "--estimator", "external", "--scorer-cmd", scorer,
+                "--sentences", sentences]) == 0
+    assert capsys.readouterr().out == "1\t0.000000\n"
+    matrix = tmp_path / "matrix.tsv"
+    assert run(["contrastive", DATA_DIR / "contrastive_pairs_egy.tsv",
+                "--scorer-cmd", scorer, "-o", matrix]) == 0
+    lines = matrix.read_text(encoding="utf-8").splitlines()
+    assert lines[0].split("\t")[2:4] == ["external:MSA", "external:EGY"]
+    assert {cell for line in lines[1:] for cell in line.split("\t")[2:4]} == {"0.000000"}
+
+
+@pytest.mark.parametrize("line", ["\tكلمة", "\t7", "جملة\t", "جملة\tسبعة", "جملة\t7\t8"])
+def test_a_lexicon_line_other_than_a_token_and_its_count_exits_2(tmp_path, capsys, line):
+    lexicon = tmp_path / "lex.txt"
+    lexicon.write_text("#aldi-lexicon v1 min_count=2\nجملة\t7\nكلمة\n%s\n" % line,
+                       encoding="utf-8")
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("جملة\n", encoding="utf-8")
+    assert run(["score", "--estimator", "lexicon", "--lexicon", lexicon,
+                "--sentences", sentences]) == 2
+    assert capsys.readouterr().err == "error: %s: line 4 has %d columns, expected 1\n" % (
+        lexicon, line.count("\t") + 1)
 
 
 @pytest.mark.parametrize("batch_size", ["0", "-1"])

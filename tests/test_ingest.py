@@ -389,12 +389,18 @@ def test_column_map_block_faults_raise_at_load(edit, message):
         ({"native_speaker": {"value": "maybe"}},
          "column map has unknown native_speaker 'maybe'"),
         ({"level_aliases": {"MSA": "Most"}}, "level alias 'msa' renames level 'MSA'"),
+        # a key is held as a cell is looked up: stripped and lower-cased
+        ({"level_aliases": {"MSA ": "Most"}}, "level alias 'msa' renames level 'MSA'"),
+        # a blank level cell is Missing
+        ({"level_aliases": {" ": "MSA"}}, "level alias '' renames level 'Missing'"),
+        ({"level_aliases": {"": "MSA"}}, "level alias '' renames level 'Missing'"),
     ],
     ids=["worker-bool", "residence-str", "alias-bogus", "alias-lowercase",
          "columns-str", "columns-bool", "columns-too-few", "columns-float",
          "aliases-list", "aliases-null", "worker-empty-const", "worker-null",
          "map-list", "map-str", "residence-tab-const", "worker-newline-const",
-         "worker-cr-const", "native-const", "alias-renames-level"],
+         "worker-cr-const", "native-const", "alias-renames-level",
+         "alias-renames-level-unstripped", "alias-blank", "alias-empty"],
 )
 def test_column_map_top_level_faults_raise_at_load(edit, message):
     """``edit`` is merged into the default map, or replaces it if not a dict."""
@@ -402,6 +408,18 @@ def test_column_map_top_level_faults_raise_at_load(edit, message):
     raw = {**raw, **edit} if isinstance(edit, dict) else edit
     with pytest.raises(FormatError, match=re.escape(message)):
         ingest.ColumnMapConfig(raw)
+
+
+def test_a_level_alias_key_matches_its_stripped_cell(tmp_path):
+    raw = _default_map()
+    raw["level_aliases"] = {" pure msa ": "MSA"}
+    cmap = ingest.ColumnMapConfig(raw)
+    assert cmap.level_aliases["pure msa"] == "MSA" and " pure msa " not in cmap.level_aliases
+    cells = cells_with({2: ("AlGhad", "art1", "comment", "نص", "pure msa", "EGY")})
+    path = tmp_path / "hits.tsv"
+    path.write_text(make_hit_line(cells=cells) + "\n", encoding="utf-8")
+    row = next(ingest.parse_hit_file(path, cmap))[2]
+    assert (row.level, row.dialect) == ("MSA", "")
 
 
 def test_column_map_constants_are_kept_as_canonical_labels(tmp_path):
